@@ -3,9 +3,8 @@
 Subpackages cover the periodic spectral substrate (``grid``), uniformly local
 norm machinery (``ulspaces``), paradifferential operators (``paradiff``), the
 straightened Dirichlet-Neumann solver (``dno``), the surface evolution system
-(``core``), symmetrizer diagnostics (``symmetrizer``), time integration
-(``stepping``), canal/basin reflection runs (``canal``), the dispersive
-derivative-loss probe (``dispersive``), and the CLI shell (``cli``).
+(``core``), symmetrizer diagnostics (``symmetrizer``), and time integration
+(``stepping``).
 """
 
 from wavestrip.grid import Field, PeriodicGrid, make_grid

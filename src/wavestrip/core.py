@@ -16,7 +16,7 @@ a = -(1/d_z rho) d_z P at z = 0 (so the rest state gives a = g exactly).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,11 +64,7 @@ class SurfaceState:
             )
 
     def dno_params(self, base: DNOParams) -> DNOParams:
-        if base.h == self.h:
-            return base
-        return DNOParams(h=self.h, delta=base.delta, zpoints=base.zpoints,
-                         tol=base.tol, maxiter=base.maxiter,
-                         max_delta_halvings=base.max_delta_halvings)
+        return replace(base, h=self.h)
 
 
 @dataclass
@@ -155,7 +151,7 @@ def taylor_coefficient(state: SurfaceState, sol: DNOSolution,
     pressure = solve_laplace(dom, Field(grid, np.zeros(grid.shape)),
                              source=source, bottom_flux=flux,
                              tol=params.tol, maxiter=params.maxiter)
-    a_vals = -dom.dz_apply(pressure.values)[0] / dom.drho_z[0]
+    a_vals = -np.tensordot(dom.Dz[0], pressure.values, axes=1) / dom.drho_z[0]
     a = Field(grid, a_vals)
     return a, float(np.min(a_vals))
 

@@ -12,9 +12,15 @@ The Laplace problem becomes the variable-coefficient strip problem
     Phi(z=0) = psi,  (g1 d_z - g2 . grad_x) Phi(z=-1) = bottom flux (0),
 
 discretized by Fourier collocation in x and Chebyshev-Lobatto collocation in
-z in [-1, 0], solved by GMRES preconditioned with the per-x-mode flat
-operator (which is exact when the surface is flat, so that case converges in
-one iteration).  The bottom row is the conormal (physical no-flux) operator
+z in [-1, 0], and solved by GMRES.  Every x-derivative runs on the rfft half
+spectrum of the real samples.  The preconditioner is the strip operator with
+x-averaged alpha, gamma and g1 and without beta and g2 (exact when the
+surface is flat, so that case converges in one iteration).  It is diagonal
+in the x-Fourier modes, and its z-line operators differ between modes only
+by -|k|^2 alpha_bar, so one eigendecomposition in z inverts all of them: the
+matrix-diagonalization method of Haidvogel & Zang, "The accurate solution of
+Poisson's equation by expansion in Chebyshev polynomials", J. Comput. Phys.
+30 (1979).  The bottom row is the conormal (physical no-flux) operator
 rather than the bare d_z: the straightened bottom z = -1 is the curved
 physical line y = eta - h, and only the conormal condition keeps the
 resulting Dirichlet-Neumann operator self-adjoint and positive.  The surface
@@ -27,15 +33,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as sfft
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from wavestrip.grid import (
     Field,
     PeriodicGrid,
+    apply_half_symbols,
     dealiased_product,
-    fft,
-    ifft,
+    gradient_x,
+    irfft_x,
+    laplacian_x,
+    rfft_x,
     spectral_gradient,
 )
 from wavestrip.paradiff import CutoffPair, ParaSymbol, paradiff_apply
@@ -88,17 +96,6 @@ def chebyshev_lobatto(n: int) -> tuple[np.ndarray, np.ndarray]:
     return z, 2.0 * D  # chain rule dz = dt/2
 
 
-def _semigroup_table(grid: PeriodicGrid, z: np.ndarray, delta: float, power: int,
-                     forward: bool) -> np.ndarray:
-    """Multiplier table m(z_i, k) = (<k>-1)^power * exp(s(z_i)(<k>-1)).
-
-    forward=True gives s = delta*z; forward=False gives s = -delta*(1+z).
-    """
-    kb = np.sqrt(1.0 + grid.abs_wavenumber() ** 2) - 1.0
-    s = delta * z if forward else -delta * (1.0 + z)
-    return kb[None] ** power * np.exp(s.reshape((-1,) + (1,) * grid.dim) * kb[None])
-
-
 @dataclass
 class StraightenedDomain:
     """rho(x, z), its derivatives, and the elliptic coefficients on the strip."""
@@ -122,34 +119,17 @@ class StraightenedDomain:
         return len(self.z)
 
     def solver(self, tol: float = 1e-12, maxiter: int = 400) -> "StripSolver":
-        if self._solver is None or self._solver.tol != tol:
+        cached = self._solver
+        if cached is None or (cached.tol, cached.maxiter) != (tol, maxiter):
             self._solver = StripSolver(self, tol=tol, maxiter=maxiter)
         return self._solver
 
     def dz_apply(self, values: np.ndarray) -> np.ndarray:
         return np.tensordot(self.Dz, values, axes=(1, 0))
 
-    def grad_x(self, values: np.ndarray) -> list[np.ndarray]:
-        vh = sfft.fftn(values, axes=self._x_axes)
-        out = []
-        for ax in range(self.grid.dim):
-            k = self.grid.wavenumbers[ax].copy()
-            k[self.grid.points[ax] // 2] = 0.0
-            shape = [1] * (self.grid.dim + 1)
-            shape[ax + 1] = self.grid.points[ax]
-            der = sfft.ifftn(1j * k.reshape(shape) * vh, axes=self._x_axes)
-            out.append(der.real if not np.iscomplexobj(values) else der)
-        return out
-
-    def lap_x(self, values: np.ndarray) -> np.ndarray:
-        vh = sfft.fftn(values, axes=self._x_axes)
-        k2 = self.grid.abs_wavenumber() ** 2
-        out = sfft.ifftn(-k2[None] * vh, axes=self._x_axes)
-        return out.real if not np.iscomplexobj(values) else out
-
-    @property
-    def _x_axes(self) -> tuple[int, ...]:
-        return tuple(range(1, self.grid.dim + 1))
+    def grad_x(self, values: np.ndarray) -> np.ndarray:
+        """x-gradient of samples on the strip (or of one row), components first."""
+        return gradient_x(values, self.grid)
 
     def lambda1(self, values: np.ndarray) -> np.ndarray:
         """Chain-rule vertical derivative (1/d_z rho) d_z."""
@@ -169,11 +149,9 @@ class StraightenedDomain:
     def conormal_flux(self, values: np.ndarray, row: int) -> np.ndarray:
         """(Lambda_1 - grad rho . Lambda_2) values at a z row (no dealiasing)."""
         g1, g2 = self.flux_coefficients(row)
-        uz_row = self.dz_apply(values)[row]
-        grads = self.grad_x(values[row][None])
-        out = g1 * uz_row
-        for g2c, gc in zip(g2, grads):
-            out = out - g2c * gc[0]
+        out = g1 * np.tensordot(self.Dz[row], values, axes=1)
+        for g2c, gc in zip(g2, self.grad_x(values[row])):
+            out = out - g2c * gc
         return out
 
 
@@ -188,16 +166,16 @@ def straighten(eta: Field, h: float, delta: float = 0.1,
         raise ValueError("strip depth h must be positive")
     grid = eta.grid
     z, Dz = chebyshev_lobatto(zpoints)
-    eta_hat = fft(eta)
-
-    def smooth(power: int, forward: bool) -> np.ndarray:
-        table = _semigroup_table(grid, z, delta, power, forward)
-        out = sfft.ifftn(table * eta_hat[None], axes=tuple(range(1, grid.dim + 1)))
-        return out.real
-
-    A0, A1, A2 = smooth(0, True), smooth(1, True), smooth(2, True)
-    B0, B1, B2 = smooth(0, False), smooth(1, False), smooth(2, False)
     zc = z.reshape((-1,) + (1,) * grid.dim)
+    # smoothing tables (<k>-1)^p exp(s(z)(<k>-1)) eta, p = 0, 1, 2, with
+    # s = delta z (A) and s = -delta (1+z) (B), in one inverse transform
+    kb = np.sqrt(1.0 - grid.half_laplacian_symbol) - 1.0
+    eta_hat = rfft_x(eta.values, grid)
+    tables = []
+    for s in (delta * zc, -delta * (1.0 + zc)):
+        smoothed = np.exp(s * kb) * eta_hat
+        tables += [smoothed, kb * smoothed, kb ** 2 * smoothed]
+    A0, A1, A2, B0, B1, B2 = irfft_x(np.stack(tables), grid)
     rho = (1.0 + zc) * A0 - zc * (B0 - h)
     drho_z = A0 + (1.0 + zc) * delta * A1 - B0 + h + zc * delta * B1
     d2rho_z = 2.0 * delta * A1 + (1.0 + zc) * delta ** 2 * A2 \
@@ -215,7 +193,7 @@ def straighten(eta: Field, h: float, delta: float = 0.1,
     grad2 = sum(g ** 2 for g in dom.drho_x)
     dom.alpha = drho_z ** 2 / (1.0 + grad2)
     dom.beta = tuple(-2.0 * drho_z * g / (1.0 + grad2) for g in dom.drho_x)
-    lap_rho = dom.lap_x(rho)
+    lap_rho = laplacian_x(rho, grid)
     grad_drho_z = dom.grad_x(drho_z)
     dom.gamma = (d2rho_z + dom.alpha * lap_rho
                  + sum(b * g for b, g in zip(dom.beta, grad_drho_z))) / drho_z
@@ -250,11 +228,26 @@ class StraightenedField:
 
 
 class StripSolver:
-    """Preconditioned Krylov solver for the straightened strip operator.
+    """Preconditioned GMRES for the straightened strip operator.
 
-    The preconditioner solves, per x-Fourier mode, the z-line problem with
-    x-averaged coefficients; the variable-coefficient remainder is absorbed
-    by the outer GMRES iteration.
+    The unknowns are Phi at the z nodes 1..nz-1 (the surface value is carried
+    by a z-constant lift).  The preconditioner solves, per x-Fourier mode k,
+    the z-line problem with x-averaged coefficients,
+
+        (Dz2 - gamma_bar Dz - |k|^2 alpha_bar) u = r  on the interior nodes,
+        g1_bar Dz u = r  at the bottom,
+
+    and the variable-coefficient remainder is absorbed by GMRES.  The bottom
+    row eliminates the bottom unknown, leaving a reduced operator L_r on the
+    interior nodes and a reduced right-hand side r'.  One eigendecomposition
+    alpha_bar^{-1} L_r = V Lambda V^{-1} serves every mode:
+
+        u_I = V (Lambda - |k|^2)^{-1} V^{-1} alpha_bar^{-1} r',
+
+    and the bottom row then gives the bottom value (matrix diagonalization,
+    Haidvogel & Zang, J. Comput. Phys. 30, 1979).  The build is one small
+    eigendecomposition and the apply two matrix products on the rfft half
+    spectrum, whether ``eig`` returns real or complex-conjugate pairs.
     """
 
     def __init__(self, dom: StraightenedDomain, tol: float = 1e-12,
@@ -263,67 +256,67 @@ class StripSolver:
         self.tol = tol
         self.maxiter = maxiter
         grid = dom.grid
-        nz = dom.nz
-        self.Dz2 = dom.Dz @ dom.Dz
-        x_axes = tuple(range(grid.dim))
-        self.alpha_bar = dom.alpha.mean(axis=tuple(a + 1 for a in x_axes))
-        self.gamma_bar = dom.gamma.mean(axis=tuple(a + 1 for a in x_axes))
+        Dz = dom.Dz
+        self.Dz2 = Dz @ Dz
+        x_axes = tuple(range(1, grid.dim + 1))
+        alpha_bar = dom.alpha.mean(axis=x_axes)[1:-1]
+        gamma_bar = dom.gamma.mean(axis=x_axes)[1:-1]
         self.g1_bottom, self.g2_bottom = dom.flux_coefficients(-1)
-        k2 = grid.abs_wavenumber() ** 2
-        vals, inverse = np.unique(np.round(k2.ravel(), 9), return_inverse=True)
-        eye = np.eye(nz)
-        mats = np.zeros((len(vals), nz, nz))
-        mats[:, 0] = eye[0]
-        mats[:, 1:-1] = (self.Dz2[None, 1:-1]
-                         - vals[:, None, None] * self.alpha_bar[None, 1:-1, None] * eye[None, 1:-1]
-                         - self.gamma_bar[None, 1:-1, None] * dom.Dz[None, 1:-1])
-        mats[:, -1] = float(np.mean(self.g1_bottom)) * dom.Dz[-1]
-        # one inverse per distinct |k|^2, gathered per mode for a batched apply
-        self._mode_inverses = np.ascontiguousarray(np.linalg.inv(mats)[inverse])
+        # interior rows of the z-line operator on u_1..u_{nz-1} (u_0 = 0),
+        # without the -|k|^2 alpha_bar term
+        line = self.Dz2[1:-1, 1:] - gamma_bar[:, None] * Dz[1:-1, 1:]
+        bottom = float(np.mean(self.g1_bottom)) * Dz[-1, 1:]
+        # bottom row solved for the bottom unknown: u_b = s r_b - e . u_I
+        self._bottom_scale = 1.0 / bottom[-1]
+        self._bottom_coupling = bottom[:-1] / bottom[-1]
+        # and eliminated from the interior rows: r_I -> r_I - q r_b
+        self._bottom_source = self._bottom_scale * line[:, -1]
+        reduced = line[:, :-1] - np.outer(line[:, -1], self._bottom_coupling)
+        lam, self._V = np.linalg.eig(reduced / alpha_bar[:, None])
+        self._W = np.linalg.inv(self._V) / alpha_bar[None, :]
+        self._mode_scale = 1.0 / (lam[:, None] + grid.half_laplacian_symbol.ravel())
+        # rows 1..nz-1 of d_z, then interior rows of d_zz, on u_1..u_{nz-1}
+        self._dz_rows = np.vstack([Dz[1:, 1:], self.Dz2[1:-1, 1:]])
         self.last_iterations = 0
-
-    # -- discrete operator pieces ------------------------------------------
-    def apply_interior_operator(self, u_full: np.ndarray) -> np.ndarray:
-        dom = self.dom
-        uz = dom.dz_apply(u_full)
-        uzz = np.tensordot(self.Dz2, u_full, axes=(1, 0))
-        lap = dom.lap_x(u_full)
-        graduz = dom.grad_x(uz)
-        out = uzz + dom.alpha * lap - dom.gamma * uz
-        for b, g in zip(dom.beta, graduz):
-            out = out + b * g
-
-        return out
-
-    def _bottom_row(self, u_full: np.ndarray, uz: np.ndarray) -> np.ndarray:
-        grads = self.dom.grad_x(u_full[-1][None])
-        out = self.g1_bottom * uz[-1]
-        for g2c, gc in zip(self.g2_bottom, grads):
-            out = out - g2c * gc[0]
-        return out
 
     def _matvec(self, vec: np.ndarray) -> np.ndarray:
         dom = self.dom
-        nz, shape = dom.nz, dom.grid.shape
-        u_full = np.zeros((nz,) + shape)
-        u_full[1:] = vec.reshape((nz - 1,) + shape)
-        res = self.apply_interior_operator(u_full)
-        out = np.empty((nz - 1,) + shape)
-        out[:-1] = res[1:-1]
-        out[-1] = self._bottom_row(u_full, dom.dz_apply(u_full))
+        grid = dom.grid
+        dim = grid.dim
+        n = dom.nz - 1
+        m = n - 1
+        # u at the nodes 1..nz-1; u = 0 at the surface
+        uz_uzz = (self._dz_rows @ vec.reshape(n, -1)).reshape((-1,) + grid.shape)
+        uh = rfft_x(vec.reshape((n,) + grid.shape), grid)
+        # d_z commutes with the x transform; the real Dz acts on real pairs
+        uzh = (self._dz_rows[:m] @ uh.reshape(n, -1).view(float)).view(complex)
+        spec = np.empty((m * (dim + 1) + dim,) + grid.half_shape, dtype=complex)
+        np.multiply(grid.half_laplacian_symbol, uh[:-1], out=spec[:m])
+        for j, ik in enumerate(grid.half_gradient_symbols):
+            np.multiply(ik, uzh.reshape((m,) + grid.half_shape),
+                        out=spec[m * (j + 1):m * (j + 2)])
+            np.multiply(ik, uh[-1], out=spec[m * (dim + 1) + j])
+        der = irfft_x(spec, grid)
+        out = np.empty((n,) + grid.shape)
+        out[:-1] = uz_uzz[n:] + dom.alpha[1:-1] * der[:m] - dom.gamma[1:-1] * uz_uzz[:m]
+        for j, b in enumerate(dom.beta):
+            out[:-1] += b[1:-1] * der[m * (j + 1):m * (j + 2)]
+        out[-1] = self.g1_bottom * uz_uzz[m]
+        for g2c, gb in zip(self.g2_bottom, der[m * (dim + 1):]):
+            out[-1] -= g2c * gb
         return out.ravel()
 
     def _precond(self, vec: np.ndarray) -> np.ndarray:
-        dom = self.dom
-        nz, shape = dom.nz, dom.grid.shape
-        x_axes = tuple(range(1, dom.grid.dim + 1))
-        r = vec.reshape((nz - 1,) + shape)
-        rh = sfft.fftn(r, axes=x_axes).reshape(nz - 1, -1)
-        rhs = np.zeros((nz, rh.shape[1]), dtype=complex)
-        rhs[1:] = rh
-        sol = np.matmul(self._mode_inverses, rhs.T[:, :, None])[:, :, 0].T
-        out = sfft.ifftn(sol[1:].reshape((nz - 1,) + shape), axes=x_axes).real
-        return out.ravel()
+        grid = self.dom.grid
+        n = self.dom.nz - 1
+        rh = rfft_x(vec.reshape((n,) + grid.shape), grid).reshape(n, -1)
+        # W and V are complex when eig returns conjugate pairs; the product
+        # is then real up to rounding, and irfft keeps its Hermitian part
+        interior = rh[:-1] - np.outer(self._bottom_source, rh[-1])
+        sol = np.empty_like(rh)
+        sol[:-1] = self._V @ (self._mode_scale * (self._W @ interior))
+        sol[-1] = self._bottom_scale * rh[-1] - self._bottom_coupling @ sol[:-1]
+        return irfft_x(sol.reshape((n,) + grid.half_shape), grid).ravel()
 
     def solve(self, surface: np.ndarray, source: np.ndarray | None = None,
               bottom_flux: np.ndarray | None = None) -> np.ndarray:
@@ -339,17 +332,19 @@ class StripSolver:
             return re + 1j * im
 
         dom = self.dom
-        nz, shape = dom.nz, dom.grid.shape
+        grid = dom.grid
+        nz, shape = dom.nz, grid.shape
         lift = np.broadcast_to(surface, (nz,) + shape)
-        l_lift = dom.alpha * dom.lap_x(np.ascontiguousarray(lift))
+        lap_surf, *grad_surf = apply_half_symbols(
+            np.asarray(surface), grid,
+            (grid.half_laplacian_symbol,) + grid.half_gradient_symbols)
         b = np.zeros((nz - 1,) + shape)
-        b[:-1] = -l_lift[1:-1]
+        b[:-1] = -dom.alpha[1:-1] * lap_surf
         if source is not None:
             b[:-1] += source[1:-1]
         # the z-constant lift has conormal flux -g2 . grad psi at the bottom
-        grad_surf = dom.grad_x(np.asarray(surface)[None])
         for g2c, gc in zip(self.g2_bottom, grad_surf):
-            b[-1] += g2c * gc[0]
+            b[-1] += g2c * gc
         if bottom_flux is not None:
             b[-1] += bottom_flux
         bvec = b.ravel()
@@ -408,12 +403,10 @@ class DNOSolution:
 def surface_flux(dom: StraightenedDomain, phi: StraightenedField) -> Field:
     """(g1 d_z - g2 . grad_x) phi at z = 0, g1 = (1+|grad rho|^2)/d_z rho."""
     grid = dom.grid
-    phiz0 = dom.dz_apply(phi.values)[0]
-    grad0 = [g[0] for g in dom.grad_x(phi.values)]
-    grad_rho0 = [g[0] for g in dom.drho_x]
-    g1 = (1.0 + sum(g ** 2 for g in grad_rho0)) / dom.drho_z[0]
+    phiz0 = np.tensordot(dom.Dz[0], phi.values, axes=1)
+    g1, g2 = dom.flux_coefficients(0)
     out = dealiased_product(Field(grid, g1), Field(grid, phiz0))
-    for g2c, gc in zip(grad_rho0, grad0):
+    for g2c, gc in zip(g2, dom.grad_x(phi.values[0])):
         out = out - dealiased_product(Field(grid, g2c), Field(grid, gc))
     return out
 

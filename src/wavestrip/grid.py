@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.fft as sfft
@@ -93,6 +94,34 @@ class PeriodicGrid:
         """Largest |k| on the lattice (corner of the Nyquist box)."""
         return float(np.sqrt(sum((np.pi * n / L) ** 2 for L, n in zip(self.lengths, self.points))))
 
+    @cached_property
+    def half_shape(self) -> tuple[int, ...]:
+        """Shape of the rfftn half spectrum (the last axis is halved)."""
+        return self.points[:-1] + (self.points[-1] // 2 + 1,)
+
+    @cached_property
+    def half_gradient_symbols(self) -> tuple[np.ndarray, ...]:
+        """i k_j on the rfftn half spectrum, one per axis, broadcastable to it.
+
+        The Nyquist entry of each derivative is zeroed (odd-symmetry
+        convention), so derivatives of real fields stay real.
+        """
+        out = []
+        for ax, n in enumerate(self.points):
+            k = self.wavenumbers[ax][: self.half_shape[ax]].copy()
+            k[n // 2] = 0.0
+            shape = [1] * self.dim
+            shape[ax] = len(k)
+            out.append(_read_only(1j * k.reshape(shape)))
+        return tuple(out)
+
+    @cached_property
+    def half_laplacian_symbol(self) -> np.ndarray:
+        """-|k|^2 on the rfftn half spectrum, Nyquist modes included."""
+        km = np.meshgrid(*[k[:m] for k, m in zip(self.wavenumbers, self.half_shape)],
+                         indexing="ij")
+        return _read_only(-sum(k ** 2 for k in km))
+
     def nyquist_mask(self) -> np.ndarray:
         """Boolean mask of modes whose index hits a Nyquist frequency."""
         mask = np.zeros(self.shape, dtype=bool)
@@ -101,6 +130,12 @@ class PeriodicGrid:
             sel[ax] = n // 2
             mask[tuple(sel)] = True
         return mask
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """Freeze a table cached on a grid, which every caller shares."""
+    arr.setflags(write=False)
+    return arr
 
 
 def make_grid(lengths, points) -> PeriodicGrid:
@@ -186,6 +221,49 @@ def ifft(grid: PeriodicGrid, spectrum: np.ndarray, real: bool = False) -> Field:
     return Field(grid, vals)
 
 
+def _x_axes(grid: PeriodicGrid, ndim: int) -> tuple[int, ...]:
+    return tuple(range(ndim - grid.dim, ndim))
+
+
+def rfft_x(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """rfftn of real samples over the trailing grid axes; leading axes batch."""
+    return sfft.rfftn(values, axes=_x_axes(grid, np.ndim(values)),
+                      workers=_fft_workers())
+
+
+def irfft_x(spectrum: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """Inverse of rfft_x: real samples from a half spectrum."""
+    return sfft.irfftn(spectrum, s=grid.shape, axes=_x_axes(grid, spectrum.ndim),
+                       workers=_fft_workers())
+
+
+def apply_half_symbols(values: np.ndarray, grid: PeriodicGrid,
+                       symbols) -> np.ndarray:
+    """Stack of the multipliers ``symbols`` applied to ``values``.
+
+    Each symbol is given on the rfftn half spectrum (Hermitian multipliers,
+    such as the derivative symbols of PeriodicGrid).  ``values`` may carry
+    leading batch axes (such as z rows) before the grid axes; the result has
+    one more leading axis, indexing the symbols.  One forward and one inverse
+    transform serve all symbols; complex samples are transformed part by part.
+    """
+    if np.iscomplexobj(values):
+        return (apply_half_symbols(values.real, grid, symbols)
+                + 1j * apply_half_symbols(values.imag, grid, symbols))
+    vh = rfft_x(values, grid)
+    return irfft_x(np.stack([m * vh for m in symbols]), grid)
+
+
+def gradient_x(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """Spectral gradient over the trailing grid axes, components stacked first."""
+    return apply_half_symbols(values, grid, grid.half_gradient_symbols)
+
+
+def laplacian_x(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """Spectral Laplacian over the trailing grid axes."""
+    return apply_half_symbols(values, grid, (grid.half_laplacian_symbol,))[0]
+
+
 def _hermitian_mirror(spec: np.ndarray) -> np.ndarray:
     idx = np.ix_(*[(-np.arange(n)) % n for n in spec.shape])
     return np.conj(spec[idx])
@@ -230,17 +308,7 @@ def heat_propagator(u: Field, t: float) -> Field:
 
 def spectral_gradient(u: Field) -> tuple[Field, ...]:
     """Exact spectral gradient; the Nyquist mode of each derivative is zeroed."""
-    uh = fft(u)
-    grid = u.grid
-    out = []
-    for ax, n in enumerate(grid.points):
-        k = grid.wavenumbers[ax].copy()
-        k[n // 2] = 0.0  # odd-symmetry convention at Nyquist
-        shape = [1] * grid.dim
-        shape[ax] = n
-        dh = (1j * k.reshape(shape)) * uh
-        out.append(ifft(grid, dh, real=u.is_real))
-    return tuple(out)
+    return tuple(Field(u.grid, g) for g in gradient_x(u.values, u.grid))
 
 
 def divergence(vec: tuple[Field, ...]) -> Field:
@@ -252,8 +320,7 @@ def divergence(vec: tuple[Field, ...]) -> Field:
 
 
 def laplacian(u: Field) -> Field:
-    k2 = u.grid.abs_wavenumber() ** 2
-    return fourier_multiplier(u, lambda *km: -k2)
+    return Field(u.grid, laplacian_x(u.values, u.grid))
 
 
 def dealias_mask(grid: PeriodicGrid) -> np.ndarray:

@@ -189,15 +189,18 @@ def _diagnose(state: SurfaceState, cfg: StepConfig, sol: DNOSolution,
               step_index: int, pou: PartitionOfUnity | None,
               extra_monitor=None) -> DiagnosticsRecord:
     ham = hamiltonian(state, cfg.dno, sol=sol) if cfg.monitor_energy else np.nan
+    monitored = cfg.monitor_taylor and step_index % max(cfg.taylor_every, 1) == 0
     min_taylor = np.nan
-    if cfg.monitor_taylor and step_index % max(cfg.taylor_every, 1) == 0:
-        _, min_taylor = taylor_coefficient(state, sol, cfg.dno)
+    if monitored or cfg.symmetrized_s is not None:
+        # one pressure solve serves the monitor and the symmetrizer
+        a_field, a_min = taylor_coefficient(state, sol, cfg.dno)
+        if monitored:
+            min_taylor = a_min
     sym_energy = np.nan
     if cfg.symmetrized_s is not None:
         from wavestrip.symmetrizer import symmetrized_pair, symmetrized_energy
 
         traces, _ = trace_velocities(state, cfg.dno, sol=sol)
-        a_field, _ = taylor_coefficient(state, sol, cfg.dno)
         traces.a = a_field
         pair = symmetrized_pair(state, traces, cfg.symmetrized_s)
         sym_energy = symmetrized_energy(pair, pou)[2]

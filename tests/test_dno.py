@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from wavestrip.grid import (
 from wavestrip.dno import (
     DNOParams,
     StraighteningError,
+    StripSolver,
     chebyshev_lobatto,
     dirichlet_neumann,
     dno_principal_symbol,
@@ -286,3 +289,88 @@ def test_solver_reports_iterations():
     eta = field_from_function(GRID, lambda x: 0.1 * np.cos(x))
     sol = dno_solve(eta, field_from_function(GRID, np.cos), PARAMS)
     assert sol.dom.solver(tol=PARAMS.tol).last_iterations >= 1
+
+
+def test_solver_cache_keys_on_tol_and_maxiter():
+    eta = field_from_function(GRID, lambda x: 0.1 * np.cos(x))
+    dom = straighten(eta, h=1.0, delta=0.1, zpoints=24)
+    first = dom.solver(tol=1e-12, maxiter=400)
+    assert dom.solver(tol=1e-12, maxiter=400) is first
+    assert dom.solver(tol=1e-12, maxiter=5).maxiter == 5
+    assert dom.solver(tol=1e-10, maxiter=5).tol == 1e-10
+
+
+@pytest.mark.parametrize("points", [(64,), (16, 16)])
+@pytest.mark.parametrize("zpoints", [16, 24, 48])
+def test_precond_inverts_flat_strip_operator(points, zpoints):
+    # on a flat strip the x-averaged z-line operators are the operator itself
+    grid = make_grid([2 * np.pi] * len(points), points)
+    dom = straighten(Field(grid, np.zeros(grid.shape)), h=1.0, delta=0.1,
+                     zpoints=zpoints)
+    solver = StripSolver(dom)
+    v = np.random.default_rng(zpoints).normal(size=(zpoints - 1) * grid.size)
+    back = solver._precond(solver._matvec(v))
+    assert np.max(np.abs(back - v)) < 1e-10 * np.max(np.abs(v))
+
+
+def dense_z_line_precond(solver: StripSolver, vec: np.ndarray) -> np.ndarray:
+    """Reference: one dense nz x nz solve per x-Fourier mode, full spectrum."""
+    dom = solver.dom
+    nz, shape = dom.nz, dom.grid.shape
+    x_axes = tuple(range(1, dom.grid.dim + 1))
+    alpha_bar = dom.alpha.mean(axis=x_axes)
+    gamma_bar = dom.gamma.mean(axis=x_axes)
+    Dz = dom.Dz
+    base = np.zeros((nz, nz))
+    base[0, 0] = 1.0
+    base[1:-1] = Dz[1:-1] @ Dz - gamma_bar[1:-1, None] * Dz[1:-1]
+    base[-1] = float(np.mean(solver.g1_bottom)) * Dz[-1]
+    rhs = np.zeros((nz,) + shape, dtype=complex)
+    rhs[1:] = np.fft.fftn(vec.reshape((nz - 1,) + shape), axes=x_axes)
+    rhs = rhs.reshape(nz, -1)
+    sol = np.empty_like(rhs)
+    for mode, k2 in enumerate((dom.grid.abs_wavenumber() ** 2).ravel()):
+        mat = base.copy()
+        mat[1:-1, 1:-1] -= k2 * np.diag(alpha_bar[1:-1])
+        sol[:, mode] = np.linalg.solve(mat, rhs[:, mode])
+    out = np.fft.ifftn(sol[1:].reshape((nz - 1,) + shape), axes=x_axes)
+    return out.real.ravel()
+
+
+@pytest.mark.parametrize("points", [(64,), (16, 16)])
+def test_precond_matches_dense_z_line_solves(points):
+    grid = make_grid([2 * np.pi] * len(points), points)
+    eta = field_from_function(grid, lambda x, *rest: 0.3 * np.sin(x))  # slope 0.3
+    dom = straighten(eta, h=1.0, delta=0.1, zpoints=24)
+    solver = StripSolver(dom)
+    v = np.random.default_rng(7).normal(size=(dom.nz - 1) * grid.size)
+    ref = dense_z_line_precond(solver, v)
+    assert np.max(np.abs(solver._precond(v) - ref)) < 1e-10 * np.max(np.abs(ref))
+
+
+def test_precond_accepts_complex_eigenbasis():
+    # eig returns complex V when eigenvalues come in conjugate pairs; rescaling
+    # the eigenvectors by phases leaves the operator and the apply unchanged
+    eta = field_from_function(GRID, lambda x: 0.3 * np.sin(x))
+    solver = StripSolver(straighten(eta, h=1.0, delta=0.1, zpoints=24))
+    v = np.random.default_rng(3).normal(size=(solver.dom.nz - 1) * GRID.size)
+    real_basis = solver._precond(v)
+    phase = np.exp(1j * np.linspace(0.3, 2.9, solver._V.shape[1]))
+    solver._V = solver._V * phase
+    solver._W = solver._W / phase[:, None]
+    out = solver._precond(v)
+    assert out.dtype == np.float64
+    assert np.max(np.abs(out - real_basis)) < 1e-12 * np.max(np.abs(real_basis))
+
+
+def test_solver_build_memory_2d():
+    grid = make_grid([2 * np.pi] * 2, [64, 64])
+    eta = field_from_function(grid, lambda x, y: 0.05 * np.cos(x) * np.cos(2 * y))
+    dom = straighten(eta, h=1.0, delta=0.1, zpoints=48)
+    tracemalloc.start()
+    try:
+        StripSolver(dom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20

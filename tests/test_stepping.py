@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from wavestrip import stepping
 from wavestrip.core import SurfaceState, hamiltonian
-from wavestrip.dno import DNOParams
+from wavestrip.dno import DNOParams, dno_solve
 from wavestrip.grid import Field, field_from_function, make_grid, norm_l2
+from wavestrip.ulspaces import PartitionOfUnity
 from wavestrip.stepping import (
     CFLError,
     StepConfig,
@@ -191,3 +193,22 @@ def test_ul_norm_diagnostics_recorded():
     traj = integrate(linear_wave_state(0.01), 0.1, cfg)
     assert "eta_H1.0" in traj.records[0].ul_norms
     assert traj.records[0].ul_norms["eta_H1.0"] > 0
+
+
+def test_diagnose_runs_one_pressure_solve(monkeypatch):
+    state = linear_wave_state(eps=0.02)
+    cfg = StepConfig(dt=0.01, dno=DNO, monitor_taylor=True, taylor_every=1,
+                     symmetrized_s=1.0)
+    sol = dno_solve(state.eta, state.psi, DNO)
+    calls = []
+    solve = stepping.taylor_coefficient
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(stepping, "taylor_coefficient", counted)
+    rec = stepping._diagnose(state, cfg, sol, 0, PartitionOfUnity(GRID))
+    assert len(calls) == 1
+    assert rec.min_taylor == solve(state, sol, DNO)[1]
+    assert np.isfinite(rec.symmetrized_energy)
