@@ -81,6 +81,18 @@ class TraceFields:
         return float(np.min(self.a.values))
 
 
+def _vertical_velocity_parts(state: SurfaceState, sol: DNOSolution):
+    """grad eta, grad psi and B = num / denom as the dealiased numerator
+    G(eta) psi + grad eta . grad psi and the array denominator 1 + |grad eta|^2."""
+    grad_eta = spectral_gradient(state.eta)
+    grad_psi = spectral_gradient(state.psi)
+    num = sol.gpsi
+    for ge, gp in zip(grad_eta, grad_psi):
+        num = num + dealiased_product(ge, gp)
+    denom = 1.0 + sum(g.values ** 2 for g in grad_eta)
+    return grad_eta, grad_psi, num, denom
+
+
 def trace_velocities(state: SurfaceState, params: DNOParams = DNOParams(),
                      sol: DNOSolution | None = None
                      ) -> tuple[TraceFields, DNOSolution]:
@@ -88,13 +100,8 @@ def trace_velocities(state: SurfaceState, params: DNOParams = DNOParams(),
     params = state.dno_params(params)
     if sol is None:
         sol = dno_solve(state.eta, state.psi, params)
-    grad_eta = spectral_gradient(state.eta)
-    grad_psi = spectral_gradient(state.psi)
-    num = sol.gpsi
-    for ge, gp in zip(grad_eta, grad_psi):
-        num = num + dealiased_product(ge, gp)
-    denom = Field(state.eta.grid, 1.0 + sum(g.values ** 2 for g in grad_eta))
-    B = dealiased_product(num, Field(state.eta.grid, 1.0 / denom.values))
+    grad_eta, grad_psi, num, denom = _vertical_velocity_parts(state, sol)
+    B = dealiased_product(num, Field(state.eta.grid, 1.0 / denom))
     V = tuple(gp - dealiased_product(B, ge) for gp, ge in zip(grad_psi, grad_eta))
     return TraceFields(B=B, V=V), sol
 
@@ -107,12 +114,7 @@ def ww_rhs(state: SurfaceState, params: DNOParams = DNOParams(),
     if sol is None:
         sol = dno_solve(state.eta, state.psi, params)
     grid = state.eta.grid
-    grad_eta = spectral_gradient(state.eta)
-    grad_psi = spectral_gradient(state.psi)
-    num = sol.gpsi
-    for ge, gp in zip(grad_eta, grad_psi):
-        num = num + dealiased_product(ge, gp)
-    denom = 1.0 + sum(g.values ** 2 for g in grad_eta)
+    _, grad_psi, num, denom = _vertical_velocity_parts(state, sol)
     quad = dealiased_product(num, Field(grid, num.values / denom))
     grad_psi_sq = dealiased_product(grad_psi[0], grad_psi[0])
     for gp in grad_psi[1:]:

@@ -6,23 +6,27 @@ The operator T_a acts in frequency as
                                  psi(eta) u^(eta),
 
 a lattice convolution in which theta keeps only low-frequency symbol times
-high-frequency function interactions and psi kills low frequencies.  The
-convolution is evaluated exactly (the default realization); a Littlewood-
-Paley blockwise realization S_{j-j0}(a) Delta_j(u) is provided as the
-cross-check route, the two differing only near block boundaries.
+high-frequency function interactions and psi kills low frequencies.  One
+private kernel evaluates it exactly as the matrix product (Theta o C) psi u^,
+with C[xi, eta] = c^_eta(xi - eta) the symbol spectrum at the column's eta,
+in fixed-size chunks of eta columns and only on the pairs where theta is not
+zero.  ``paraproduct`` (a = a(x)) and ``paradiff_apply`` (a = a(x, xi),
+tabulated at every lattice eta) both call it.  The Littlewood-Paley blockwise
+realization S_{j-j0}(a) Delta_j(u) and the factorized route for symbols
+b(x) h(xi) are kept as independent references for the tests; the blockwise
+one differs from the kernel only near block boundaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as _iproduct
 from typing import Callable
 
 import numpy as np
 import scipy.fft as sfft
 
 from wavestrip.grid import Field, PeriodicGrid, dealiased_product, fft, ifft
-from wavestrip.ulspaces import DyadicDecomposition, smooth_step
+from wavestrip.ulspaces import DyadicDecomposition, holder_norms, smooth_step
 
 
 class SymbolDomainError(ValueError):
@@ -120,76 +124,86 @@ def separable_symbol(b: Field, order: float, h, regularity: float = 1.0,
     )
 
 
-def _valid_difference_mask(grid: PeriodicGrid, eta_vec: np.ndarray):
-    """True where the difference frequency xi - eta lies in the resolved band.
+# (xi, eta) pairs screened per chunk of eta columns; bounds the working set
+# (the tracemalloc peak of a 2-D 64^2 paraproduct stays near 2 MB)
+_CHUNK_PAIRS = 2 ** 17
 
-    Returns (mask, |zeta| array), with zeta the true (unwrapped) difference;
-    rolled spectrum lookup is aliasing-free exactly on the mask.
+
+def _symbol_table(sym: ParaSymbol, grid: PeriodicGrid, xis: np.ndarray) -> np.ndarray:
+    """Values a(x, xi) for the rows xi of ``xis`` (shape (m, d)), stacked first.
+
+    Rows at xi = 0 of a homogeneous symbol, where it is undefined, stay zero.
     """
-    km = grid.wavenumber_meshes()
-    mask = np.ones(grid.shape, dtype=bool)
-    z2 = np.zeros(grid.shape)
-    for ax in range(grid.dim):
-        nyq = np.pi * grid.points[ax] / grid.lengths[ax]
-        delta = km[ax] - eta_vec[ax]
-        mask &= (delta >= -nyq - 1e-12) & (delta < nyq - 1e-12)
-        z2 = z2 + delta ** 2
-    return mask, np.sqrt(z2)
+    xm = grid.meshes()
+    table = np.zeros((len(xis),) + grid.shape, dtype=complex)
+    for row, xi in zip(table, xis):
+        if not (sym.homogeneous and np.all(xi == 0.0)):
+            row[...] = sym.eval(xm, xi)
+    return table
 
 
-def _mode_list(grid: PeriodicGrid):
-    """Flat iteration order over lattice modes: (multi-index, wavenumber vec)."""
-    idx_ranges = [range(n) for n in grid.points]
-    ks = grid.wavenumbers
-    for multi in _iproduct(*idx_ranges):
-        yield multi, np.array([ks[ax][multi[ax]] for ax in range(grid.dim)])
+def _lattice_apply(u: Field, cut: CutoffPair, column_spectra) -> np.ndarray:
+    """Spectrum of T_a u = (Theta o C) (psi u^) / N.
+
+    Theta[xi, eta] = theta(|xi - eta|, |eta|) where the true difference
+    xi - eta lies in the resolved band (0 elsewhere), and C[xi, eta] =
+    c^_eta((xi - eta) mod N).  ``column_spectra(k_eta)`` maps the wavenumbers
+    of a chunk of columns (shape (m, d)) to the spectra c^_eta, shape
+    (m, *grid.shape), or to one spectrum of shape grid.shape shared by all.
+    Only columns with psi(eta) u^(eta) != 0 enter, and since theta vanishes
+    for |xi - eta| >= eps2 |eta| only the pairs inside that ball are formed.
+    """
+    grid = u.grid
+    weights = (cut.psi(grid.abs_wavenumber()) * fft(u)).ravel()
+    active = np.flatnonzero(weights)
+    # signed lattice index of the nodes along each axis, in FFT order
+    signed = [(np.arange(n) + n // 2) % n - n // 2 for n in grid.points]
+    scale = [2.0 * np.pi / L for L in grid.lengths]
+    out = np.zeros(grid.size, dtype=complex)
+    per_chunk = max(1, _CHUNK_PAIRS // grid.size)
+    for start in range(0, active.size, per_chunk):
+        chunk = active[start:start + per_chunk]
+        cols = np.unravel_index(chunk, grid.shape)
+        k_eta = np.stack([k[c] for k, c in zip(grid.wavenumbers, cols)], axis=-1)
+        eta_abs = np.sqrt(np.sum(k_eta ** 2, axis=-1))
+        # |xi - eta|^2 over (xi axes..., column), infinite where unresolved
+        zeta2 = 0.0
+        for ax, n in enumerate(grid.points):
+            along = [1] * (grid.dim + 1)
+            along[ax] = n
+            diff = signed[ax].reshape(along) - signed[ax][cols[ax]]
+            ok = (diff >= -(n // 2)) & (diff < n // 2)
+            zeta2 = zeta2 + np.where(ok, (diff * scale[ax]) ** 2, np.inf)
+        *xi, col = np.nonzero(zeta2 < (cut.eps2 * eta_abs) ** 2)
+        zeta = tuple((x - c[col]) % n for x, c, n in zip(xi, cols, grid.points))
+        spectra = np.broadcast_to(np.asarray(column_spectra(k_eta)),
+                                  (len(k_eta),) + grid.shape)
+        vals = (cut.theta(np.sqrt(zeta2[(*xi, col)]), eta_abs[col])
+                * spectra[(col, *zeta)] * weights[chunk][col])
+        flat = np.ravel_multi_index(tuple(xi), grid.shape)
+        out += np.bincount(flat, vals.real, grid.size) + 1j * np.bincount(flat, vals.imag, grid.size)
+    return out.reshape(grid.shape) / grid.size
 
 
 def paraproduct(a: Field, u: Field, cut: CutoffPair | None = None) -> Field:
-    """T_a u for an x-dependent, xi-independent symbol a (exact convolution)."""
+    """T_a u for an x-dependent, xi-independent symbol a."""
     if cut is None:
         cut = CutoffPair()
     if a.grid is not u.grid and a.grid != u.grid:
         raise ValueError("paraproduct requires a shared grid")
-    grid = u.grid
     a_hat = fft(a)
-    u_hat = fft(u)
-    out = np.zeros(grid.shape, dtype=complex)
-    for multi, k_eta in _mode_list(grid):
-        weight = float(cut.psi(np.linalg.norm(k_eta))) * u_hat[multi]
-        if weight == 0.0:
-            continue
-        mask, zeta_abs = _valid_difference_mask(grid, k_eta)
-        th = cut.theta(zeta_abs, np.linalg.norm(k_eta))
-        th = np.where(mask, th, 0.0)
-        if not np.any(th):
-            continue
-        out += th * np.roll(a_hat, multi, axis=tuple(range(grid.dim))) * weight
-    out /= grid.size
-    real_out = a.is_real and u.is_real
-    return ifft(grid, out, real=real_out)
+    out = _lattice_apply(u, cut, lambda k_eta: a_hat)
+    return ifft(u.grid, out, real=a.is_real and u.is_real)
 
 
 def paradiff_apply(sym: ParaSymbol, u: Field, cut: CutoffPair | None = None) -> Field:
-    """T_a u for a general symbol a(x, xi), evaluated exactly per lattice xi."""
+    """T_a u for a general symbol a(x, xi), tabulated at the lattice eta."""
     if cut is None:
         cut = CutoffPair()
     grid = u.grid
-    u_hat = fft(u)
-    xm = grid.meshes()
-    out = np.zeros(grid.shape, dtype=complex)
-    axes = tuple(range(grid.dim))
-    for multi, k_eta in _mode_list(grid):
-        weight = float(cut.psi(np.linalg.norm(k_eta))) * u_hat[multi]
-        if weight == 0.0:
-            continue
-        col = np.broadcast_to(np.asarray(sym.eval(xm, k_eta)), grid.shape)
-        col_hat = sfft.fftn(col)
-        mask, zeta_abs = _valid_difference_mask(grid, k_eta)
-        th = cut.theta(zeta_abs, np.linalg.norm(k_eta))
-        th = np.where(mask, th, 0.0)
-        out += th * np.roll(col_hat, multi, axis=axes) * weight
-    out /= grid.size
+    axes = tuple(range(1, grid.dim + 1))
+    out = _lattice_apply(
+        u, cut, lambda k_eta: sfft.fftn(_symbol_table(sym, grid, k_eta), axes=axes))
     return ifft(grid, out)
 
 
@@ -236,56 +250,23 @@ def _multi_indices(dim: int, max_order: int):
     return [(i, j) for i in range(max_order + 1) for j in range(max_order + 1 - i)]
 
 
-def _batch_holder(values: np.ndarray, grid: PeriodicGrid, rho: float,
-                  dd: DyadicDecomposition) -> np.ndarray:
-    """W^{rho,inf}-in-x norms of values[..., m], vectorized over trailing axis."""
-    x_axes = tuple(range(grid.dim))
-    sup = np.max(np.abs(values), axis=x_axes)
-    if rho <= 0:
-        return sup
-    if float(rho).is_integer() and rho == 1.0:
-        vh = sfft.fftn(values, axes=x_axes)
-        total = sup.copy()
-        for ax in range(grid.dim):
-            k = grid.wavenumbers[ax].copy()
-            k[grid.points[ax] // 2] = 0.0
-            shape = [1] * values.ndim
-            shape[ax] = grid.points[ax]
-            der = sfft.ifftn(1j * k.reshape(shape) * vh, axes=x_axes)
-            total = total + np.max(np.abs(der), axis=x_axes)
-        return total
-    vh = sfft.fftn(values, axes=x_axes)
-    best = np.zeros_like(sup)
-    extra = (np.newaxis,) * (values.ndim - grid.dim)
-    for j in dd.block_index_range():
-        mult = dd.block_multiplier(j)[(...,) + extra]
-        piece = sfft.ifftn(mult * vh, axes=x_axes)
-        best = np.maximum(best, 2.0 ** (j * rho) * np.max(np.abs(piece), axis=x_axes))
-    return np.maximum(sup, best)
-
-
 def symbol_seminorm(sym: ParaSymbol, grid: PeriodicGrid,
                     dd: DyadicDecomposition | None = None) -> float:
     """Estimate of the order-m seminorm M^m_rho(a) on the resolved lattice.
 
     xi-derivatives up to order 2d+2 are taken by finite differences on the
-    (monotonically ordered) wavenumber lattice; the x-norm is the W^{rho,inf}
-    realization (Zygmund for fractional rho).
+    (monotonically ordered) wavenumber lattice; the x-norm is
+    ``ulspaces.holder_norms`` (Zygmund for fractional rho).
     """
     if dd is None:
         dd = DyadicDecomposition(grid)
     d = grid.dim
     sorted_axes = [np.sort(w) for w in grid.wavenumbers]
-    xi_shape = tuple(len(w) for w in sorted_axes)
-    table = np.zeros(grid.shape + xi_shape, dtype=complex)
-    xm = grid.meshes()
-    for xi_multi in _iproduct(*[range(n) for n in xi_shape]):
-        xi = np.array([sorted_axes[ax][xi_multi[ax]] for ax in range(d)])
-        if np.linalg.norm(xi) < 0.5 and sym.homogeneous and np.all(xi == 0.0):
-            continue  # left zero; masked below anyway
-        table[(...,) + xi_multi] = sym.eval(xm, xi)
-
     xi_mesh = np.meshgrid(*sorted_axes, indexing="ij")
+    xi_shape = xi_mesh[0].shape
+    xis = np.stack([k.ravel() for k in xi_mesh], axis=-1)
+    table = _symbol_table(sym, grid, xis).reshape(xi_shape + grid.shape)
+
     xi_abs = np.sqrt(sum(k ** 2 for k in xi_mesh))
     lattice_mask = xi_abs >= 0.5
     bracket = np.sqrt(1.0 + xi_abs ** 2)
@@ -296,9 +277,8 @@ def symbol_seminorm(sym: ParaSymbol, grid: PeriodicGrid,
         der = table
         for ax in range(d):
             for _ in range(alpha[ax]):
-                der = np.gradient(der, spacings[ax], axis=grid.dim + ax)
-        flat = der.reshape(grid.shape + (-1,))
-        wnorms = _batch_holder(flat, grid, sym.regularity, dd).reshape(xi_shape)
+                der = np.gradient(der, spacings[ax], axis=ax)
+        wnorms = holder_norms(der, grid, sym.regularity, dd)
         weighted = bracket ** (sum(alpha) - sym.order) * wnorms
         cand = float(np.max(np.where(lattice_mask, weighted, 0.0)))
         best = max(best, cand)

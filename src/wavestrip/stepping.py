@@ -25,7 +25,7 @@ from wavestrip.core import (
     trace_velocities,
     ww_rhs,
 )
-from wavestrip.dno import DNOParams, DNOSolution
+from wavestrip.dno import DNOParams, DNOSolution, EllipticSolveError, StraighteningError
 from wavestrip.grid import Field, heat_propagator, norm_l2
 from wavestrip.ulspaces import PartitionOfUnity, ul_sobolev_norm
 
@@ -223,13 +223,16 @@ def integrate(state: SurfaceState, T: float, cfg: StepConfig, sink=None,
               state_filter=None) -> Trajectory:
     """March to time T with per-step diagnostics and admissibility monitors.
 
-    Monitor violations abort in a controlled way: the trajectory up to the
-    failure is returned with a non-ok status.  ``extra_monitor`` is a callable
-    returning additional scalar diagnostics (canal runs use it for parity
-    defects) and may raise MonitorAbort; ``state_filter`` is applied to each
-    new state (parity projection hooks in here).
+    T must be a whole number of steps.  Monitor violations and solver failures
+    (elliptic stall, straightening, CFL) return the trajectory up to the failure
+    with a non-ok status.  ``extra_monitor`` is a callable returning additional
+    scalar diagnostics (canal runs use it for parity defects) and may raise
+    MonitorAbort; ``state_filter`` is applied to each new state (parity
+    projection hooks in here).
     """
     n_steps = int(round(T / cfg.dt))
+    if abs(n_steps * cfg.dt - T) > 1e-9 * T:
+        raise ValueError(f"T = {T:.6g} is not a whole number of steps dt = {cfg.dt:.6g}")
     depth_floor = cfg.depth_floor if cfg.depth_floor is not None else state.h / 2.0
     pou = PartitionOfUnity(state.eta.grid) \
         if (cfg.ul_norm_s or cfg.symmetrized_s is not None) else None
@@ -266,5 +269,8 @@ def integrate(state: SurfaceState, T: float, cfg: StepConfig, sink=None,
                 states[-1] = current
         except (MonitorAbort, StepError) as exc:
             status = f"aborted: {exc}"
+            break
+        except (CFLError, EllipticSolveError, StraighteningError) as exc:
+            status = f"aborted: {type(exc).__name__}: {exc}"
             break
     return Trajectory(states=states, records=records, status=status)

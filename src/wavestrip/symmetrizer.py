@@ -90,34 +90,22 @@ def symmetrized_pair(state: SurfaceState, traces: TraceFields, s: float,
     return SymmetrizedPair(Us=us, theta_s=theta_field(zeta_s, q, cut), s=s)
 
 
-def decoupling_symbols(alpha: float, beta, xi) -> tuple[complex, complex]:
+def decoupling_symbols(alpha, beta, xi):
     """Roots a, A of the decoupled forward/backward parabolic factorization.
 
     a + A = -i beta.xi and a*A = -alpha |xi|^2 (checked by callers as the
     Vieta identities); Re a < 0 < Re A whenever the discriminant is positive.
+    ``alpha`` and the components of ``beta`` may be arrays, such as the z = 0
+    traces of a straightened domain; the roots are then taken pointwise.
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    bdot = float(np.dot(beta, xi))
+    bdot = sum(b * xi_c for b, xi_c in zip(beta, xi))
     disc = 4.0 * alpha * float(np.dot(xi, xi)) - bdot ** 2
-    if disc <= 0.0:
-        raise EllipticityError(
-            f"4 alpha |xi|^2 - (beta.xi)^2 = {disc:.4g} is not positive"
-        )
-    root = np.sqrt(disc)
-    a_sym = 0.5 * (-1j * bdot - root)
-    big_a = 0.5 * (-1j * bdot + root)
-    return complex(a_sym), complex(big_a)
-
-
-def decoupling_symbols_from_domain(dom, xi) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise decoupling roots from the z = 0 traces of alpha and beta."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    alpha0 = dom.alpha[0]
-    bdot = sum(b[0] * xi_c for b, xi_c in zip(dom.beta, xi))
-    disc = 4.0 * alpha0 * float(np.dot(xi, xi)) - bdot ** 2
     if np.min(disc) <= 0.0:
-        raise EllipticityError("decoupling discriminant vanished on the grid")
+        raise EllipticityError(
+            f"4 alpha |xi|^2 - (beta.xi)^2 = {np.min(disc):.4g} is not positive"
+        )
     root = np.sqrt(disc)
     return 0.5 * (-1j * bdot - root), 0.5 * (-1j * bdot + root)
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft as sfft
 
-from wavestrip.grid import Field, PeriodicGrid, bessel_potential, fft, ifft, norm_l2
+from wavestrip.grid import (Field, PeriodicGrid, bessel_potential, fft, gradient_x, ifft,
+                            norm_l2)
 
 
 def smooth_step(t: np.ndarray) -> np.ndarray:
@@ -160,35 +162,44 @@ def lowpass(u: Field, m: int, dd: DyadicDecomposition) -> Field:
     return ifft(u.grid, dd.lowpass_multiplier(m) * fft(u), real=u.is_real)
 
 
-def zygmund_norm(u: Field, sigma: float, dd: DyadicDecomposition) -> float:
-    """max over blocks of 2^(j*sigma) * ||Delta_j u||_{L^inf}, truncated at jmax."""
-    uh = fft(u)
-    best = 0.0
+def _zygmund_norms(values: np.ndarray, grid: PeriodicGrid, sigma: float,
+                   dd: DyadicDecomposition) -> np.ndarray:
+    """max_j 2^(j*sigma) ||Delta_j v||_{L^inf} over the trailing grid axes."""
+    axes = tuple(range(values.ndim - grid.dim, values.ndim))
+    vh = sfft.fftn(values, axes=axes)
+    best = np.zeros(values.shape[: values.ndim - grid.dim])
     for j in dd.block_index_range():
-        piece = ifft(u.grid, dd.block_multiplier(j) * uh, real=u.is_real)
-        best = max(best, 2.0 ** (j * sigma) * float(np.max(np.abs(piece.values))))
+        piece = sfft.ifftn(dd.block_multiplier(j) * vh, axes=axes)
+        best = np.maximum(best, 2.0 ** (j * sigma) * np.max(np.abs(piece), axis=axes))
     return best
 
 
-def holder_norm(u: Field, rho: float, dd: DyadicDecomposition) -> float:
-    """W^{rho,inf} realization used by symbol seminorms.
+def zygmund_norm(u: Field, sigma: float, dd: DyadicDecomposition) -> float:
+    """max over blocks of 2^(j*sigma) * ||Delta_j u||_{L^inf}, truncated at jmax."""
+    return float(_zygmund_norms(u.values, u.grid, sigma, dd))
 
-    Integer rho uses sup norms of spectral derivatives; fractional rho uses
-    the Zygmund norm (the two scales coincide for non-integer exponents).
+
+def holder_norms(values: np.ndarray, grid: PeriodicGrid, rho: float,
+                 dd: DyadicDecomposition | None = None) -> np.ndarray:
+    """W^{rho,inf} norms over the trailing grid axes of ``values``; leading axes batch.
+
+    rho = 0: sup |v|; rho = 1: sup |v| + sum_i sup |d_i v| (spectral); 0 < rho < 1:
+    max(sup |v|, Zygmund norm), the scales coinciding for fractional exponents.
     """
-    from wavestrip.grid import spectral_gradient
-
-    sup = float(np.max(np.abs(u.values)))
-    if rho <= 0:
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError(f"Hoelder exponent must lie in [0, 1], got {rho}")
+    axes = tuple(range(values.ndim - grid.dim, values.ndim))
+    sup = np.max(np.abs(values), axis=axes)
+    if rho == 0.0:
         return sup
-    if float(rho).is_integer():
-        total = sup
-        layer = [u]
-        for _ in range(int(rho)):
-            nxt = []
-            for f in layer:
-                nxt.extend(spectral_gradient(f))
-            total += max(float(np.max(np.abs(f.values))) for f in nxt)
-            layer = nxt
-        return total
-    return max(sup, zygmund_norm(u, rho, dd))
+    if rho == 1.0:
+        grads = gradient_x(values, grid)
+        return sup + np.sum(np.max(np.abs(grads), axis=tuple(a + 1 for a in axes)), axis=0)
+    if dd is None:
+        dd = DyadicDecomposition(grid)
+    return np.maximum(sup, _zygmund_norms(values, grid, rho, dd))
+
+
+def holder_norm(u: Field, rho: float, dd: DyadicDecomposition | None = None) -> float:
+    """W^{rho,inf} norm of one field, as in ``holder_norms``."""
+    return float(holder_norms(u.values, u.grid, rho, dd))

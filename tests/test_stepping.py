@@ -212,3 +212,27 @@ def test_diagnose_runs_one_pressure_solve(monkeypatch):
     assert len(calls) == 1
     assert rec.min_taylor == solve(state, sol, DNO)[1]
     assert np.isfinite(rec.symmetrized_energy)
+
+
+def test_integrate_cfl_failure_ends_with_status():
+    cfg = StepConfig(dt=10.0, dno=DNO, monitor_taylor=False)
+    traj = integrate(linear_wave_state(), 10.0, cfg)
+    assert traj.status.startswith("aborted: CFLError: dt = 10")
+    assert len(traj.states) == 1 and len(traj.records) == 1
+
+
+def test_integrate_elliptic_failure_ends_with_status():
+    from dataclasses import replace
+
+    cfg = StepConfig(dt=0.05, dno=replace(DNO, maxiter=1), monitor_taylor=False)
+    traj = integrate(linear_wave_state(0.05), 0.1, cfg)
+    assert traj.status.startswith("aborted: EllipticSolveError: elliptic solve stalled")
+    # psi = 0 needs no Krylov step, so step 0 is diagnosed before the first
+    # RK stage stalls; that record is kept
+    assert len(traj.states) == 1 and len(traj.records) == 1
+
+
+def test_integrate_rejects_partial_final_step():
+    cfg = StepConfig(dt=0.1, dno=DNO, monitor_taylor=False)
+    with pytest.raises(ValueError, match="whole number of steps"):
+        integrate(rest_state(), 0.15, cfg)

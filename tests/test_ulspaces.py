@@ -180,3 +180,25 @@ def test_embedding_zygmund_by_ul_norm():
         if un > 0:
             ratios.append(zn / un)
     assert max(ratios) < 30.0
+
+
+def test_holder_norm_is_the_symbol_seminorm_norm_2d():
+    from wavestrip.paradiff import separable_symbol, symbol_seminorm
+    from wavestrip.ulspaces import holder_norm
+
+    grid = make_grid([2 * np.pi, 2 * np.pi], [16, 16])
+    dd = DyadicDecomposition(grid)
+    u = field_from_function(grid, lambda x, y: np.sin(x) + np.sin(2 * y))
+    # sup |u| + sup |d_x u| + sup |d_y u| = 2 + 1 + 2
+    assert holder_norm(u, 1.0, dd) == pytest.approx(5.0, rel=1e-12)
+    # an order-0 symbol constant in xi has seminorm ||u||_{W^{1,inf}}
+    sym = separable_symbol(u, 0.0, lambda xi: 1.0, regularity=1.0)
+    assert symbol_seminorm(sym, grid, dd) == pytest.approx(holder_norm(u, 1.0, dd),
+                                                            rel=1e-12)
+
+
+def test_holder_norm_rejects_exponent_above_one():
+    from wavestrip.ulspaces import holder_norm
+
+    with pytest.raises(ValueError):
+        holder_norm(Field(GRID, np.ones(GRID.shape)), 2.0, DD)
