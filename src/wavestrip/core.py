@@ -7,11 +7,18 @@ The state is (eta, psi) on a periodic grid; tendencies are
               + (grad eta . grad psi + G(eta) psi)^2 / (2 (1+|grad eta|^2))
               - g eta,
 
-with all quadratic products dealiased.  The Taylor coefficient a comes from
-the straightened pressure problem: the same strip operator with Dirichlet
-zero surface data, interior source -alpha * sum |Lam_i Lam_j Phi|^2, and a
-bottom Neumann flux inherited from the Bernoulli relation; then
-a = -(1/d_z rho) d_z P at z = 0 (so the rest state gives a = g exactly).
+with all quadratic products dealiased.  The Taylor coefficient a = -d_y P
+comes from the straightened pressure problem: the same strip operator L with
+zero surface pressure, interior source -alpha * sum |Lam_i Lam_j Phi|^2, and
+a bottom conormal flux inherited from the Bernoulli relation.  P is solved
+through its non-hydrostatic part, P = -g rho + Q.  rho is the physical
+height y, which is harmonic, and straighten defines gamma so that L rho = 0;
+the conormal of rho at the bottom is (1+|grad rho|^2)/d_z rho * d_z rho -
+|grad rho|^2 = 1.  So Q has the same source as P, surface data g eta and
+bottom flux -conormal(|grad Phi|^2/2) without the -g, and
+a = g - (1/d_z rho) d_z Q at z = 0.  Q carries no O(g) hydrostatic part,
+which would otherwise dominate the solution and hold GMRES at its rounding
+floor, and the rest state gives Q = 0 and a = g exactly.
 """
 
 from __future__ import annotations
@@ -107,12 +114,15 @@ def trace_velocities(state: SurfaceState, params: DNOParams = DNOParams(),
 
 
 def ww_rhs(state: SurfaceState, params: DNOParams = DNOParams(),
-           sol: DNOSolution | None = None
+           sol: DNOSolution | None = None, guess: DNOSolution | None = None
            ) -> tuple[Field, Field, DNOSolution]:
-    """Tendencies (d_t eta, d_t psi) and the DNO solution used to build them."""
+    """Tendencies (d_t eta, d_t psi) and the DNO solution used to build them.
+
+    ``guess`` warm-starts the potential solve when ``sol`` is not given.
+    """
     params = state.dno_params(params)
     if sol is None:
-        sol = dno_solve(state.eta, state.psi, params)
+        sol = dno_solve(state.eta, state.psi, params, guess=guess)
     grid = state.eta.grid
     _, grad_psi, num, denom = _vertical_velocity_parts(state, sol)
     quad = dealiased_product(num, Field(grid, num.values / denom))
@@ -128,7 +138,12 @@ def ww_rhs(state: SurfaceState, params: DNOParams = DNOParams(),
 def taylor_coefficient(state: SurfaceState, sol: DNOSolution,
                        params: DNOParams = DNOParams()
                        ) -> tuple[Field, float]:
-    """Taylor coefficient a = -d_y P at the surface, from the pressure problem."""
+    """Taylor coefficient a = -d_y P at the surface, from the pressure problem.
+
+    Solves for Q = P + g rho (see the module docstring): L Q = L P because
+    L rho = 0, Q = g eta at the surface because P = 0 there, and the bottom
+    flux of Q is that of P plus g because conormal(rho) = 1.
+    """
     params = state.dno_params(params)
     dom = sol.dom
     grid = dom.grid
@@ -145,15 +160,14 @@ def taylor_coefficient(state: SurfaceState, sol: DNOSolution,
             hess_sq = hess_sq + comp ** 2
     source = StraightenedField(dom, -dom.alpha * hess_sq)
 
-    # Bernoulli bottom data: conormal(P) = -conormal(|grad Phi|^2 / 2) - g,
-    # since conormal(Q) = 0 (no flux) and conormal(y) = 1
+    # Bernoulli bottom data: conormal(P) = -conormal(|grad Phi|^2 / 2) - g
+    # (d_t Phi has no flux through the bottom), and conormal(g rho) = g
     half_speed2 = 0.5 * (lam1 ** 2 + sum(c ** 2 for c in lam2))
-    flux = Field(grid, -dom.conormal_flux(half_speed2, -1) - state.g)
+    flux = Field(grid, -dom.conormal_flux(half_speed2, -1))
 
-    pressure = solve_laplace(dom, Field(grid, np.zeros(grid.shape)),
-                             source=source, bottom_flux=flux,
-                             tol=params.tol, maxiter=params.maxiter)
-    a_vals = -np.tensordot(dom.Dz[0], pressure.values, axes=1) / dom.drho_z[0]
+    q = solve_laplace(dom, state.g * state.eta, source=source, bottom_flux=flux,
+                      tol=params.tol, maxiter=params.maxiter)
+    a_vals = state.g - np.tensordot(dom.Dz[0], q.values, axes=1) / dom.drho_z[0]
     a = Field(grid, a_vals)
     return a, float(np.min(a_vals))
 

@@ -319,21 +319,27 @@ class StripSolver:
         return irfft_x(sol.reshape((n,) + grid.half_shape), grid).ravel()
 
     def solve(self, surface: np.ndarray, source: np.ndarray | None = None,
-              bottom_flux: np.ndarray | None = None) -> np.ndarray:
-        """Solve the strip problem; complex data is split into parts."""
-        if any(np.iscomplexobj(a) for a in (surface, source, bottom_flux)
-               if a is not None):
-            re = self.solve(np.real(surface),
-                            None if source is None else np.real(source),
-                            None if bottom_flux is None else np.real(bottom_flux))
-            im = self.solve(np.imag(surface),
-                            None if source is None else np.imag(source),
-                            None if bottom_flux is None else np.imag(bottom_flux))
-            return re + 1j * im
+              bottom_flux: np.ndarray | None = None,
+              guess: np.ndarray | None = None) -> np.ndarray:
+        """Solve the strip problem; complex data is split into parts.
 
+        ``guess`` is an approximate solution on the same (nz, *grid.shape)
+        tensor grid, typically Phi from a nearby surface; GMRES starts from
+        it (less the surface lift) instead of from zero.  Any other shape
+        raises ValueError.
+        """
         dom = self.dom
         grid = dom.grid
         nz, shape = dom.nz, grid.shape
+        if guess is not None and np.shape(guess) != (nz,) + shape:
+            raise ValueError(f"guess has shape {np.shape(guess)}, "
+                             f"expected {(nz,) + shape}")
+        parts = (surface, source, bottom_flux, guess)
+        if any(np.iscomplexobj(a) for a in parts if a is not None):
+            re, im = ([None if a is None else part(a) for a in parts]
+                      for part in (np.real, np.imag))
+            return self.solve(*re) + 1j * self.solve(*im)
+
         lift = np.broadcast_to(surface, (nz,) + shape)
         lap_surf, *grad_surf = apply_half_symbols(
             np.asarray(surface), grid,
@@ -355,10 +361,11 @@ class StripSolver:
         n = bvec.size
         A = LinearOperator((n, n), matvec=self._matvec)
         M = LinearOperator((n, n), matvec=self._precond)
+        x0 = None if guess is None else (guess[1:] - surface).ravel()
         history: list[float] = []
         restart = min(80, self.maxiter)
         cycles = max(1, int(np.ceil(self.maxiter / restart)))
-        sol, _ = gmres(A, bvec, M=M, rtol=self.tol, atol=0.0,
+        sol, _ = gmres(A, bvec, x0=x0, M=M, rtol=self.tol, atol=0.0,
                        restart=restart, maxiter=cycles,
                        callback=lambda pr: history.append(float(pr)),
                        callback_type="pr_norm")
@@ -376,17 +383,20 @@ class StripSolver:
 def solve_laplace(dom: StraightenedDomain, psi: Field,
                   source: StraightenedField | None = None,
                   bottom_flux: Field | None = None,
-                  tol: float = 1e-12, maxiter: int = 400) -> StraightenedField:
+                  tol: float = 1e-12, maxiter: int = 400,
+                  guess: StraightenedField | None = None) -> StraightenedField:
     """Solve the straightened strip problem with surface trace psi.
 
     ``bottom_flux`` prescribes the conormal data (g1 d_z - g2 . grad_x) at
-    z = -1 (physical no-flux through the bottom when zero).
+    z = -1 (physical no-flux through the bottom when zero).  ``guess`` is
+    the GMRES starting point (see StripSolver.solve).
     """
     solver = dom.solver(tol=tol, maxiter=maxiter)
     vals = solver.solve(
         psi.values,
         None if source is None else source.values,
         None if bottom_flux is None else bottom_flux.values,
+        None if guess is None else guess.values,
     )
     return StraightenedField(dom, vals)
 
@@ -412,11 +422,18 @@ def surface_flux(dom: StraightenedDomain, phi: StraightenedField) -> Field:
 
 
 def dno_solve(eta: Field, psi: Field, params: DNOParams = DNOParams(),
-              dom: StraightenedDomain | None = None) -> DNOSolution:
-    """Evaluate G(eta) psi, keeping the domain and potential for reuse."""
+              dom: StraightenedDomain | None = None,
+              guess: DNOSolution | None = None) -> DNOSolution:
+    """Evaluate G(eta) psi, keeping the domain and potential for reuse.
+
+    ``guess`` is an earlier solution, typically on a nearby surface; its
+    potential, sampled on the same (z, x) tensor grid, starts GMRES.  It
+    changes the iteration count, not the tolerance the result meets.
+    """
     if dom is None:
         dom = straighten_adaptive(eta, params)
-    phi = solve_laplace(dom, psi, tol=params.tol, maxiter=params.maxiter)
+    phi = solve_laplace(dom, psi, tol=params.tol, maxiter=params.maxiter,
+                        guess=None if guess is None else guess.phi)
     return DNOSolution(dom=dom, phi=phi, gpsi=surface_flux(dom, phi))
 
 

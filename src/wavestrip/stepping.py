@@ -112,9 +112,17 @@ def check_cfl(state: SurfaceState, cfg: StepConfig) -> None:
 
 
 def _default_rhs(cfg: StepConfig):
+    """ww_rhs whose potential solve starts from the previous call's solution.
+
+    Successive calls (RK stages, fixed-point iterates, steps) see nearby
+    surfaces, so the last potential is a close GMRES starting point.
+    """
+    last: DNOSolution | None = None
+
     def rhs(state: SurfaceState):
-        eta_t, psi_t, sol = ww_rhs(state, cfg.dno)
-        return eta_t, psi_t, sol
+        nonlocal last
+        eta_t, psi_t, last = ww_rhs(state, cfg.dno, guess=last)
+        return eta_t, psi_t, last
     return rhs
 
 
@@ -160,10 +168,15 @@ def parabolic_step(state: SurfaceState, cfg: StepConfig, rhs=None,
     prop_psi = heat_propagator(state.psi + (dt / 2.0) * a0[1], eps * dt)
 
     # fixed point for the implicit endpoint of the exponential trapezoid,
-    # warm-started from the previous step's state
-    eta_new, psi_new = state.eta, state.psi
+    # started from the previous step's state; the RHS does not read t, so
+    # the first iterate reuses a0 instead of evaluating the RHS at state
+    eta_new = prop_eta + (dt / 2.0) * a0[0]
+    psi_new = prop_psi + (dt / 2.0) * a0[1]
+    delta = norm_l2(eta_new - state.eta) + norm_l2(psi_new - state.psi)
     scale = max(norm_l2(state.eta) + norm_l2(state.psi), 1e-14)
-    for _ in range(cfg.fixed_point_max_iter):
+    for _ in range(cfg.fixed_point_max_iter - 1):
+        if delta <= cfg.fixed_point_tol * scale:
+            break
         trial = SurfaceState(eta=eta_new, psi=psi_new, t=state.t + dt,
                              g=state.g, h=state.h)
         a1 = rhs(trial)[:2]
@@ -171,12 +184,12 @@ def parabolic_step(state: SurfaceState, cfg: StepConfig, rhs=None,
         psi_next = prop_psi + (dt / 2.0) * a1[1]
         delta = norm_l2(eta_next - eta_new) + norm_l2(psi_next - psi_new)
         eta_new, psi_new = eta_next, psi_next
-        if delta <= cfg.fixed_point_tol * scale:
-            return SurfaceState(eta=eta_new, psi=psi_new, t=state.t + dt,
-                                g=state.g, h=state.h)
-    raise StepError(
-        f"fixed point stalled at relative update {delta / scale:.3e}; halve dt"
-    )
+    if not delta <= cfg.fixed_point_tol * scale:
+        raise StepError(
+            f"fixed point stalled at relative update {delta / scale:.3e}; halve dt"
+        )
+    return SurfaceState(eta=eta_new, psi=psi_new, t=state.t + dt,
+                        g=state.g, h=state.h)
 
 
 def advance(state: SurfaceState, cfg: StepConfig, rhs=None, k1=None) -> SurfaceState:
@@ -244,7 +257,7 @@ def integrate(state: SurfaceState, T: float, cfg: StepConfig, sink=None,
     current = state
     for step_index in range(n_steps + 1):
         try:
-            eta_t, psi_t, sol = ww_rhs(current, cfg.dno)
+            eta_t, psi_t, sol = rhs(current)
             rec = _diagnose(current, cfg, sol, step_index, pou, extra_monitor)
             records.append(rec)
             if sink is not None:

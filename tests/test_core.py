@@ -11,7 +11,12 @@ from wavestrip.core import (
     trace_velocities,
     ww_rhs,
 )
-from wavestrip.dno import DNOParams, dno_solve
+from wavestrip.dno import (
+    DNOParams,
+    StraightenedField,
+    dno_solve,
+    solve_laplace,
+)
 from wavestrip.grid import (
     Field,
     field_from_function,
@@ -19,6 +24,7 @@ from wavestrip.grid import (
     make_grid,
     norm_l2,
     shift_field,
+    spectral_gradient,
 )
 
 GRID = make_grid([2 * np.pi], [128])
@@ -198,3 +204,78 @@ def test_analyze_state_populates_taylor():
     traces, _ = analyze_state(state, PARAMS)
     assert traces.a is not None
     assert traces.min_taylor() > 0.9
+
+
+def p_form_taylor(state, sol, params):
+    """Reference: a = -d_y P from a pressure solve for P itself, hydrostatic
+    part -g rho included (surface data 0, bottom flux with the -g term)."""
+    params = state.dno_params(params)
+    dom = sol.dom
+    grid = dom.grid
+    phi = sol.phi.values
+    lam1 = dom.lambda1(phi)
+    lam2 = dom.lambda2(phi)
+    hess_sq = dom.lambda1(lam1) ** 2
+    for comp in dom.lambda2(lam1):
+        hess_sq = hess_sq + comp ** 2
+    for l2c in lam2:
+        hess_sq = hess_sq + dom.lambda1(l2c) ** 2
+        for comp in dom.lambda2(l2c):
+            hess_sq = hess_sq + comp ** 2
+    source = StraightenedField(dom, -dom.alpha * hess_sq)
+    half_speed2 = 0.5 * (lam1 ** 2 + sum(c ** 2 for c in lam2))
+    flux = Field(grid, -dom.conormal_flux(half_speed2, -1) - state.g)
+    pressure = solve_laplace(dom, Field(grid, np.zeros(grid.shape)),
+                             source=source, bottom_flux=flux,
+                             tol=params.tol, maxiter=params.maxiter)
+    return -np.tensordot(dom.Dz[0], pressure.values, axes=1) / dom.drho_z[0]
+
+
+def sloped_state(grid, slope, g=1.0):
+    """eta with max |grad eta| = slope and psi = 0.7 eta (shifted phase)."""
+    meshes = grid.meshes()
+    shape = np.cos(meshes[0] + 0.3)
+    for m in meshes[1:]:
+        shape = shape * np.cos(m)
+    grad = spectral_gradient(Field(grid, shape))
+    vals = shape * slope / np.max(np.sqrt(sum(c.values ** 2 for c in grad)))
+    return SurfaceState(eta=Field(grid, vals), psi=Field(grid, 0.7 * np.roll(vals, 3, 0)),
+                        g=g)
+
+
+GRID_2D = make_grid([2 * np.pi] * 2, [16, 16])
+
+
+@pytest.mark.parametrize("grid", [GRID, GRID_2D], ids=["1d", "2d"])
+@pytest.mark.parametrize("zpoints", [24, 40])
+@pytest.mark.parametrize("slope", [0.05, 0.3])
+def test_taylor_matches_p_form(grid, zpoints, slope):
+    state = sloped_state(grid, slope, g=1.7)
+    params = DNOParams(zpoints=zpoints)
+    sol = dno_solve(state.eta, state.psi, params)
+    a, a_min = taylor_coefficient(state, sol, params)
+    assert np.max(np.abs(a.values - p_form_taylor(state, sol, params))) <= 1e-10
+    assert a_min == np.min(a.values) < 1.7
+
+
+@pytest.mark.parametrize("grid", [GRID, GRID_2D], ids=["1d", "2d"])
+def test_taylor_rest_state_exact(grid):
+    state = SurfaceState(eta=Field(grid, np.zeros(grid.shape)),
+                         psi=Field(grid, np.zeros(grid.shape)), g=2.3)
+    sol = dno_solve(state.eta, state.psi)
+    a, a_min = taylor_coefficient(state, sol)
+    assert np.all(a.values == 2.3) and a_min == 2.3
+
+
+@pytest.mark.parametrize("grid", [GRID, GRID_2D], ids=["1d", "2d"])
+@pytest.mark.parametrize("slope", [0.01, 0.1, 0.3])
+def test_taylor_default_params_converge_in_zpoints(grid, slope):
+    # the default tolerance is met at every zpoints, the default 48 included
+    state = sloped_state(grid, slope)
+    a_mins = []
+    for zpoints in (24, DNOParams().zpoints, 64):
+        params = DNOParams(zpoints=zpoints)
+        sol = dno_solve(state.eta, state.psi, params)
+        a_mins.append(taylor_coefficient(state, sol, params)[1])
+    assert max(a_mins) - min(a_mins) <= 1e-8
+    assert 0.0 < min(a_mins) < 1.0

@@ -374,3 +374,46 @@ def test_solver_build_memory_2d():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2 ** 20
+
+
+def iterations(sol, params=PARAMS):
+    return sol.dom.solver(tol=params.tol, maxiter=params.maxiter).last_iterations
+
+
+def test_guess_equal_to_solution_converges_at_once():
+    eta = field_from_function(GRID, lambda x: 0.1 * np.cos(x))
+    psi = field_from_function(GRID, lambda x: np.sin(x) + 0.3 * np.cos(3 * x))
+    cold = dno_solve(eta, psi, PARAMS)
+    warm = dno_solve(eta, psi, PARAMS, dom=cold.dom, guess=cold)
+    assert iterations(warm) <= 1
+    assert np.max(np.abs(warm.phi.values - cold.phi.values)) < 1e-12
+    # complex data splits the guess into its parts as well
+    solver = cold.dom.solver(tol=PARAMS.tol, maxiter=PARAMS.maxiter)
+    zpsi = psi.values + 2j * np.roll(psi.values, 5)
+    exact = solver.solve(zpsi)
+    assert np.max(np.abs(solver.solve(zpsi, guess=exact) - exact)) < 1e-12
+    assert solver.last_iterations <= 1
+
+
+def test_guess_from_nearby_surface_saves_iterations():
+    eta = field_from_function(GRID, lambda x: 0.1 * np.cos(x))
+    near = field_from_function(GRID, lambda x: 0.1 * np.cos(x) + 1e-4 * np.cos(2 * x))
+    psi = field_from_function(GRID, lambda x: np.sin(x) + 0.3 * np.cos(3 * x))
+    previous = dno_solve(eta, psi, PARAMS)
+    cold = dno_solve(near, psi, PARAMS)
+    cold_its = iterations(cold)
+    warm = dno_solve(near, psi, PARAMS, guess=previous)
+    assert iterations(warm) < cold_its
+    assert np.max(np.abs(warm.phi.values - cold.phi.values)) < 1e-10
+    assert np.max(np.abs(warm.gpsi.values - cold.gpsi.values)) < 1e-10
+
+
+def test_guess_of_wrong_shape_raises():
+    eta = field_from_function(GRID, lambda x: 0.1 * np.cos(x))
+    psi = field_from_function(GRID, np.sin)
+    other = dno_solve(eta, psi, DNOParams(h=1.0, zpoints=24))
+    with pytest.raises(ValueError, match="guess has shape"):
+        dno_solve(eta, psi, PARAMS, guess=other)
+    solver = StripSolver(straighten(eta, h=1.0, zpoints=24))
+    with pytest.raises(ValueError, match="guess has shape"):
+        solver.solve(psi.values, guess=np.zeros((24, 64)))

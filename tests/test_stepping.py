@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from wavestrip import stepping
-from wavestrip.core import SurfaceState, hamiltonian
+from wavestrip.core import SurfaceState, hamiltonian, ww_rhs
 from wavestrip.dno import DNOParams, dno_solve
-from wavestrip.grid import Field, field_from_function, make_grid, norm_l2
+from wavestrip.grid import Field, field_from_function, heat_propagator, make_grid, norm_l2
 from wavestrip.ulspaces import PartitionOfUnity
 from wavestrip.stepping import (
     CFLError,
@@ -236,3 +236,96 @@ def test_integrate_rejects_partial_final_step():
     cfg = StepConfig(dt=0.1, dno=DNO, monitor_taylor=False)
     with pytest.raises(ValueError, match="whole number of steps"):
         integrate(rest_state(), 0.15, cfg)
+
+
+def cold_rhs(state):
+    return ww_rhs(state, DNO)
+
+
+def loop_from_state(state, cfg, rhs):
+    """Reference: the fixed point started at state itself, whose first
+    iteration re-evaluates the RHS at state."""
+    dt, eps = cfg.dt, cfg.epsilon
+    a0 = rhs(state)[:2]
+    prop_eta = heat_propagator(state.eta + (dt / 2.0) * a0[0], eps * dt)
+    prop_psi = heat_propagator(state.psi + (dt / 2.0) * a0[1], eps * dt)
+    eta_new, psi_new = state.eta, state.psi
+    scale = max(norm_l2(state.eta) + norm_l2(state.psi), 1e-14)
+    for _ in range(cfg.fixed_point_max_iter):
+        trial = SurfaceState(eta=eta_new, psi=psi_new, t=state.t + dt,
+                             g=state.g, h=state.h)
+        a1 = rhs(trial)[:2]
+        eta_next = prop_eta + (dt / 2.0) * a1[0]
+        psi_next = prop_psi + (dt / 2.0) * a1[1]
+        delta = norm_l2(eta_next - eta_new) + norm_l2(psi_next - psi_new)
+        eta_new, psi_new = eta_next, psi_next
+        if delta <= cfg.fixed_point_tol * scale:
+            return eta_new, psi_new
+    raise StepError("stalled")
+
+
+def moving_wave_state(eps=0.05):
+    return SurfaceState(eta=field_from_function(GRID, lambda x: eps * np.cos(x)),
+                        psi=field_from_function(GRID, lambda x: 0.6 * eps * np.sin(x)))
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_parabolic_step_matches_loop_from_state_bitwise(eps):
+    # the rest state converges at the first iterate, the wave after several
+    state = moving_wave_state(eps)
+    cfg = StepConfig(dt=0.05, epsilon=0.01, scheme="parabolic-duhamel", dno=DNO)
+    out = parabolic_step(state, cfg, rhs=cold_rhs)
+    eta_ref, psi_ref = loop_from_state(state, cfg, cold_rhs)
+    assert np.array_equal(out.eta.values, eta_ref.values)
+    assert np.array_equal(out.psi.values, psi_ref.values)
+
+
+def test_parabolic_step_never_reevaluates_rhs_at_state():
+    state = moving_wave_state()
+    cfg = StepConfig(dt=0.05, epsilon=0.01, scheme="parabolic-duhamel", dno=DNO)
+    seen = []
+
+    def counting(s):
+        seen.append((s.eta.values.copy(), s.psi.values.copy()))
+        return cold_rhs(s)
+
+    parabolic_step(state, cfg, rhs=counting, k1=cold_rhs(state)[:2])
+    assert 1 <= len(seen) < cfg.fixed_point_max_iter
+    assert not any(np.array_equal(e, state.eta.values) and np.array_equal(p, state.psi.values)
+                   for e, p in seen)
+
+
+def test_parabolic_max_iter_bounds_rhs_calls():
+    calls = []
+    cfg = StepConfig(dt=0.05, epsilon=0.01, scheme="parabolic-duhamel",
+                     fixed_point_max_iter=3, fixed_point_tol=1e-14, dno=DNO)
+    with pytest.raises(StepError):
+        parabolic_step(linear_wave_state(eps=0.05), cfg,
+                       rhs=lambda s: calls.append(1) or cold_rhs(s))
+    assert len(calls) == cfg.fixed_point_max_iter
+
+
+def test_default_rhs_warm_starts_from_previous_call():
+    def its(sol):
+        return sol.dom.solver(tol=DNO.tol, maxiter=DNO.maxiter).last_iterations
+
+    state = moving_wave_state(0.1)
+    rhs = stepping._default_rhs(StepConfig(dt=0.05, dno=DNO))
+    eta_t, psi_t, sol = rhs(state)
+    cold_its = its(sol)
+    near = SurfaceState(eta=state.eta + 1e-3 * eta_t, psi=state.psi + 1e-3 * psi_t)
+    warm_sol = rhs(near)[2]
+    cold_sol = dno_solve(near.eta, near.psi, DNO)
+    assert its(warm_sol) < min(cold_its, its(cold_sol))
+    assert np.max(np.abs(warm_sol.gpsi.values - cold_sol.gpsi.values)) < 1e-10
+
+
+def test_integrate_default_params_runs():
+    # default DNOParams and StepConfig: zpoints 48, Taylor monitor on
+    grid = make_grid([2 * np.pi], [64])
+    state = SurfaceState(eta=field_from_function(grid, lambda x: 0.1 * np.cos(x)),
+                         psi=Field(grid, np.zeros(grid.shape)))
+    traj = integrate(state, 0.2, StepConfig(dt=0.05))
+    assert traj.status == "ok"
+    assert len(traj.records) == 5
+    assert 0.0 < traj.records[0].min_taylor < 1.0
