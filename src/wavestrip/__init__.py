@@ -1,6 +1,6 @@
 """Pseudo-spectral gravity water waves on a boundary-straightened strip.
 
-Subpackages cover the periodic spectral substrate (``grid``), uniformly local
+Modules cover the periodic spectral substrate (``grid``), uniformly local
 norm machinery (``ulspaces``), paradifferential operators (``paradiff``), the
 straightened Dirichlet-Neumann solver (``dno``), the surface evolution system
 (``core``), symmetrizer diagnostics (``symmetrizer``), and time integration

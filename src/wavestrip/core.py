@@ -43,10 +43,6 @@ from wavestrip.grid import (
 )
 
 
-class DepthFloorError(RuntimeError):
-    """Surface dips below the admissible depth floor."""
-
-
 @dataclass
 class SurfaceState:
     """Free-surface elevation and surface potential at one instant."""
@@ -63,12 +59,6 @@ class SurfaceState:
 
     def min_depth(self) -> float:
         return float(np.min(self.eta.values) + self.h)
-
-    def require_depth(self, floor: float) -> None:
-        if self.min_depth() < floor:
-            raise DepthFloorError(
-                f"min depth {self.min_depth():.4g} below floor {floor:.4g}"
-            )
 
     def dno_params(self, base: DNOParams) -> DNOParams:
         return replace(base, h=self.h)

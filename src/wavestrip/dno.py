@@ -78,7 +78,6 @@ class DNOParams:
     zpoints: int = 48
     tol: float = 1e-12
     maxiter: int = 400
-    max_delta_halvings: int = 6
 
 
 def chebyshev_lobatto(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -200,11 +199,14 @@ def straighten(eta: Field, h: float, delta: float = 0.1,
     return dom
 
 
+MAX_DELTA_HALVINGS = 6
+
+
 def straighten_adaptive(eta: Field, params: DNOParams) -> StraightenedDomain:
     """straighten with the delta-halving retry policy."""
     delta = params.delta
     last: StraighteningError | None = None
-    for _ in range(params.max_delta_halvings + 1):
+    for _ in range(MAX_DELTA_HALVINGS + 1):
         try:
             return straighten(eta, params.h, delta, params.zpoints)
         except StraighteningError as exc:

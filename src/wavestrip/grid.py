@@ -8,7 +8,6 @@ quadratic nonlinearities are expected to go through ``dealiased_product``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,13 +21,6 @@ class InvalidGridError(ValueError):
 
 class MultiplierDomainError(ValueError):
     """Raised when a Fourier multiplier is not finite on the lattice."""
-
-
-def _fft_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("WAVESTRIP_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -122,15 +114,6 @@ class PeriodicGrid:
                          indexing="ij")
         return _read_only(-sum(k ** 2 for k in km))
 
-    def nyquist_mask(self) -> np.ndarray:
-        """Boolean mask of modes whose index hits a Nyquist frequency."""
-        mask = np.zeros(self.shape, dtype=bool)
-        for ax, n in enumerate(self.points):
-            sel = [slice(None)] * self.dim
-            sel[ax] = n // 2
-            mask[tuple(sel)] = True
-        return mask
-
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     """Freeze a table cached on a grid, which every caller shares."""
@@ -201,21 +184,17 @@ def _vals(x):
     return x.values if isinstance(x, Field) else x
 
 
-def constant_field(grid: PeriodicGrid, value: float = 0.0) -> Field:
-    return Field(grid, np.full(grid.shape, value, dtype=float))
-
-
 def field_from_function(grid: PeriodicGrid, fn) -> Field:
     """Sample fn(*coordinate meshes) on the grid."""
     return Field(grid, np.asarray(fn(*grid.meshes()), dtype=float))
 
 
 def fft(u: Field) -> np.ndarray:
-    return sfft.fftn(u.values, workers=_fft_workers())
+    return sfft.fftn(u.values)
 
 
 def ifft(grid: PeriodicGrid, spectrum: np.ndarray, real: bool = False) -> Field:
-    vals = sfft.ifftn(spectrum, workers=_fft_workers())
+    vals = sfft.ifftn(spectrum)
     if real:
         vals = vals.real
     return Field(grid, vals)
@@ -227,14 +206,12 @@ def _x_axes(grid: PeriodicGrid, ndim: int) -> tuple[int, ...]:
 
 def rfft_x(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """rfftn of real samples over the trailing grid axes; leading axes batch."""
-    return sfft.rfftn(values, axes=_x_axes(grid, np.ndim(values)),
-                      workers=_fft_workers())
+    return sfft.rfftn(values, axes=_x_axes(grid, np.ndim(values)))
 
 
 def irfft_x(spectrum: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """Inverse of rfft_x: real samples from a half spectrum."""
-    return sfft.irfftn(spectrum, s=grid.shape, axes=_x_axes(grid, spectrum.ndim),
-                       workers=_fft_workers())
+    return sfft.irfftn(spectrum, s=grid.shape, axes=_x_axes(grid, spectrum.ndim))
 
 
 def apply_half_symbols(values: np.ndarray, grid: PeriodicGrid,
@@ -317,10 +294,6 @@ def divergence(vec: tuple[Field, ...]) -> Field:
     for p in parts[1:]:
         out = out + p
     return out
-
-
-def laplacian(u: Field) -> Field:
-    return Field(u.grid, laplacian_x(u.values, u.grid))
 
 
 def dealias_mask(grid: PeriodicGrid) -> np.ndarray:

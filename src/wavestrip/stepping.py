@@ -18,7 +18,6 @@ import numpy as np
 
 from wavestrip.core import (
     SurfaceState,
-    analyze_state,
     hamiltonian,
     mass,
     taylor_coefficient,
@@ -42,20 +41,23 @@ class MonitorAbort(RuntimeError):
     """A runtime admissibility monitor tripped."""
 
 
+# admissibility limits of every run
+CFL_SAFETY = 2.5  # largest dt * omega_max
+DEPTH_FLOOR = 0.5  # smallest depth, as a fraction of the still depth h
+TAYLOR_FLOOR = 0.0  # smallest Taylor coefficient a
+
+
 @dataclass(frozen=True)
 class StepConfig:
     dt: float
-    epsilon: float = 0.0
+    epsilon: float = 0.0  # > 0 exactly for "parabolic-duhamel"
     scheme: str = "rk4"  # "rk4" or "parabolic-duhamel"
     fixed_point_tol: float = 1e-10
-    fixed_point_max_iter: int = 40
-    cfl_safety: float = 2.5
+    fixed_point_max_iter: int = 40  # bounds the RHS calls of a Duhamel step
     dno: DNOParams = DNOParams()
-    monitor_depth: bool = True
+    # depth and energy are recorded every step; the Taylor coefficient costs
+    # a pressure solve, so it is recorded every taylor_every steps or never
     monitor_taylor: bool = True
-    monitor_energy: bool = True
-    depth_floor: float | None = None  # defaults to h/2 at run time
-    taylor_floor: float = 0.0
     taylor_every: int = 5
     ul_norm_s: tuple[float, ...] = ()
     symmetrized_s: float | None = None
@@ -65,10 +67,16 @@ class StepConfig:
             raise ValueError("dt must be positive")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-        if self.fixed_point_tol <= 0 or self.cfl_safety <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.fixed_point_tol <= 0:
+            raise ValueError("fixed_point_tol must be positive")
+        if self.fixed_point_max_iter < 1 or self.taylor_every < 1:
+            raise ValueError("fixed_point_max_iter and taylor_every must be >= 1")
         if self.scheme not in ("rk4", "parabolic-duhamel"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.scheme == "rk4" and self.epsilon > 0:
+            raise ValueError("rk4 integrates the unregularized system; epsilon must be 0")
+        if self.scheme == "parabolic-duhamel" and self.epsilon == 0:
+            raise ValueError("parabolic-duhamel stepping requires epsilon > 0")
 
 
 @dataclass
@@ -104,10 +112,10 @@ def max_linear_frequency(state: SurfaceState) -> float:
 
 def check_cfl(state: SurfaceState, cfg: StepConfig) -> None:
     omega = max_linear_frequency(state)
-    if cfg.dt * omega > cfg.cfl_safety:
+    if cfg.dt * omega > CFL_SAFETY:
         raise CFLError(
-            f"dt = {cfg.dt:.4g} exceeds {cfg.cfl_safety:.3g}/omega_max "
-            f"= {cfg.cfl_safety / omega:.4g}"
+            f"dt = {cfg.dt:.4g} exceeds {CFL_SAFETY:.3g}/omega_max "
+            f"= {CFL_SAFETY / omega:.4g}"
         )
 
 
@@ -156,8 +164,6 @@ def rk4_step(state: SurfaceState, cfg: StepConfig, rhs=None,
 def parabolic_step(state: SurfaceState, cfg: StepConfig, rhs=None,
                    k1=None) -> SurfaceState:
     """One Duhamel step of the eps-regularized system (eps > 0)."""
-    if cfg.epsilon <= 0:
-        raise ValueError("parabolic-duhamel stepping requires epsilon > 0")
     check_cfl(state, cfg)
     if rhs is None:
         rhs = _default_rhs(cfg)
@@ -199,10 +205,9 @@ def advance(state: SurfaceState, cfg: StepConfig, rhs=None, k1=None) -> SurfaceS
 
 
 def _diagnose(state: SurfaceState, cfg: StepConfig, sol: DNOSolution,
-              step_index: int, pou: PartitionOfUnity | None,
-              extra_monitor=None) -> DiagnosticsRecord:
-    ham = hamiltonian(state, cfg.dno, sol=sol) if cfg.monitor_energy else np.nan
-    monitored = cfg.monitor_taylor and step_index % max(cfg.taylor_every, 1) == 0
+              step_index: int, pou: PartitionOfUnity | None) -> DiagnosticsRecord:
+    ham = hamiltonian(state, cfg.dno, sol=sol)
+    monitored = cfg.monitor_taylor and step_index % cfg.taylor_every == 0
     min_taylor = np.nan
     if monitored or cfg.symmetrized_s is not None:
         # one pressure solve serves the monitor and the symmetrizer
@@ -221,32 +226,29 @@ def _diagnose(state: SurfaceState, cfg: StepConfig, sol: DNOSolution,
     for s in cfg.ul_norm_s:
         ul_norms[f"eta_H{s}"] = ul_sobolev_norm(state.eta, s, pou)
         ul_norms[f"psi_H{s}"] = ul_sobolev_norm(state.psi, s, pou)
-    rec = DiagnosticsRecord(
+    return DiagnosticsRecord(
         t=state.t, hamiltonian=float(ham), mass=mass(state),
         min_depth=state.min_depth(), min_taylor=float(min_taylor),
         symmetrized_energy=float(sym_energy), ul_norms=ul_norms,
     )
-    if extra_monitor is not None:
-        rec.extra = {k: float(v) for k, v in extra_monitor(state).items()}
-    return rec
 
 
 def integrate(state: SurfaceState, T: float, cfg: StepConfig, sink=None,
-              keep_states: bool = True, extra_monitor=None,
-              state_filter=None) -> Trajectory:
+              keep_states: bool = True) -> Trajectory:
     """March to time T with per-step diagnostics and admissibility monitors.
 
-    T must be a whole number of steps.  Monitor violations and solver failures
-    (elliptic stall, straightening, CFL) return the trajectory up to the failure
-    with a non-ok status.  ``extra_monitor`` is a callable returning additional
-    scalar diagnostics (canal runs use it for parity defects) and may raise
-    MonitorAbort; ``state_filter`` is applied to each new state (parity
-    projection hooks in here).
+    T must be a nonnegative whole number of steps.  Monitor violations and
+    solver failures (elliptic stall, straightening, CFL) return the trajectory
+    up to the failure with a non-ok status.  A canal of width w with vertical
+    walls is run as is: its data, extended evenly across the walls, is
+    2w-periodic in y, and that symmetry is kept by the flow.
     """
+    if T < 0:
+        raise ValueError(f"T = {T:.6g} is negative")
     n_steps = int(round(T / cfg.dt))
     if abs(n_steps * cfg.dt - T) > 1e-9 * T:
         raise ValueError(f"T = {T:.6g} is not a whole number of steps dt = {cfg.dt:.6g}")
-    depth_floor = cfg.depth_floor if cfg.depth_floor is not None else state.h / 2.0
+    depth_floor = DEPTH_FLOOR * state.h
     pou = PartitionOfUnity(state.eta.grid) \
         if (cfg.ul_norm_s or cfg.symmetrized_s is not None) else None
     rhs = _default_rhs(cfg)
@@ -258,24 +260,21 @@ def integrate(state: SurfaceState, T: float, cfg: StepConfig, sink=None,
     for step_index in range(n_steps + 1):
         try:
             eta_t, psi_t, sol = rhs(current)
-            rec = _diagnose(current, cfg, sol, step_index, pou, extra_monitor)
+            rec = _diagnose(current, cfg, sol, step_index, pou)
             records.append(rec)
             if sink is not None:
                 sink(rec)
-            if cfg.monitor_depth and rec.min_depth < depth_floor:
+            if rec.min_depth < depth_floor:
                 raise MonitorAbort(
                     f"depth monitor: min depth {rec.min_depth:.4g} < "
                     f"floor {depth_floor:.4g} at t = {current.t:.6g}")
-            if cfg.monitor_taylor and np.isfinite(rec.min_taylor) \
-                    and rec.min_taylor < cfg.taylor_floor:
+            if np.isfinite(rec.min_taylor) and rec.min_taylor < TAYLOR_FLOOR:
                 raise MonitorAbort(
                     f"Taylor monitor: min a {rec.min_taylor:.4g} < "
-                    f"floor {cfg.taylor_floor:.4g} at t = {current.t:.6g}")
+                    f"floor {TAYLOR_FLOOR:.4g} at t = {current.t:.6g}")
             if step_index == n_steps:
                 break
             current = advance(current, cfg, rhs=rhs, k1=(eta_t, psi_t))
-            if state_filter is not None:
-                current = state_filter(current)
             if keep_states:
                 states.append(current)
             else:

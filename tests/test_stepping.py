@@ -36,12 +36,17 @@ def zero_rhs(state):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        StepConfig(dt=-0.1)
-    with pytest.raises(ValueError):
-        StepConfig(dt=0.1, epsilon=-1.0)
-    with pytest.raises(ValueError):
-        StepConfig(dt=0.1, scheme="leapfrog")
+    for kwargs in (
+        dict(dt=-0.1),
+        dict(epsilon=-1.0),
+        dict(scheme="leapfrog"),
+        dict(taylor_every=0),
+        dict(fixed_point_max_iter=0),
+        dict(epsilon=0.01),  # rk4 would drop the regularization
+        dict(scheme="parabolic-duhamel"),  # epsilon 0 has no heat flow
+    ):
+        with pytest.raises(ValueError):
+            StepConfig(**{"dt": 0.1, **kwargs})
 
 
 def test_cfl_guard():
@@ -236,6 +241,8 @@ def test_integrate_rejects_partial_final_step():
     cfg = StepConfig(dt=0.1, dno=DNO, monitor_taylor=False)
     with pytest.raises(ValueError, match="whole number of steps"):
         integrate(rest_state(), 0.15, cfg)
+    with pytest.raises(ValueError, match="T = -0.1 is negative"):
+        integrate(rest_state(), -0.1, cfg)
 
 
 def cold_rhs(state):
