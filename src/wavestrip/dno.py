@@ -12,8 +12,14 @@ The Laplace problem becomes the variable-coefficient strip problem
     Phi(z=0) = psi,  (g1 d_z - g2 . grad_x) Phi(z=-1) = bottom flux (0),
 
 discretized by Fourier collocation in x and Chebyshev-Lobatto collocation in
-z in [-1, 0], and solved by GMRES.  Every x-derivative runs on the rfft half
-spectrum of the real samples.  The preconditioner is the strip operator with
+z in [-1, 0], and solved by right-preconditioned restarted GMRES (Saad &
+Schultz, SIAM J. Sci. Stat. Comput. 7, 1986).  Each iteration costs one
+preconditioner apply and one operator apply.  A solve returns once the true
+relative residual |b - A x| / |b| is at most tol; that residual is formed at
+the end of each cycle of at most 80 iterations, and the next cycle restarts
+from it, for at most ceil(maxiter / 80) cycles.  Every x-derivative runs on
+the rfft half spectrum of the real samples.  The preconditioner is the strip
+operator with
 x-averaged alpha, gamma and g1 and without beta and g2 (exact when the
 surface is flat, so that case converges in one iteration).  It is diagonal
 in the x-Fourier modes, and its z-line operators differ between modes only
@@ -30,10 +36,11 @@ one-sided Chebyshev derivative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.linalg import solve_triangular
 
 from wavestrip.grid import (
     Field,
@@ -61,7 +68,12 @@ class StraighteningError(RuntimeError):
 
 
 class EllipticSolveError(RuntimeError):
-    """Krylov iteration did not reach the requested residual."""
+    """Krylov iteration did not reach the requested residual.
+
+    ``residual`` is the true relative residual |b - A x| / |b| of the last
+    iterate; ``history`` holds, per GMRES iteration, the estimate of that
+    true residual from the Arnoldi least-squares problem.
+    """
 
     def __init__(self, residual: float, history: list[float]):
         self.residual = residual
@@ -250,6 +262,18 @@ class StripSolver:
     Haidvogel & Zang, J. Comput. Phys. 30, 1979).  The build is one small
     eigendecomposition and the apply two matrix products on the rfft half
     spectrum, whether ``eig`` returns real or complex-conjugate pairs.
+
+    GMRES is preconditioned on the right, so it minimizes the true residual
+    b - A x over x0 + span(Z) with Z = M V.  Each iteration costs exactly one
+    ``_precond`` and one ``_matvec``; a solve adds one ``_matvec`` for the
+    residual of a ``guess`` and one per cycle for the true residual of the
+    new iterate.  The solve returns once that residual is at most ``tol``
+    (relative to |b|) and otherwise restarts from it, with cycles of at most
+    80 iterations and at most ceil(maxiter / 80) cycles.  When the cycles run
+    out, the solve is accepted if the residual is within max(50 tol, 1e-13)
+    and raises EllipticSolveError otherwise.  ``last_iterations`` counts the
+    iterations of the last real solve (of the imaginary part, for complex
+    data).
     """
 
     def __init__(self, dom: StraightenedDomain, tol: float = 1e-12,
@@ -320,6 +344,65 @@ class StripSolver:
         sol[-1] = self._bottom_scale * rh[-1] - self._bottom_coupling @ sol[:-1]
         return irfft_x(sol.reshape((n,) + grid.half_shape), grid).ravel()
 
+    def _gmres(self, b: np.ndarray, bnorm: float,
+               x: np.ndarray | None) -> tuple[np.ndarray, float, list[float]]:
+        """Right-preconditioned restarted GMRES for A x = b from x (or 0).
+
+        Returns x, its true relative residual |b - A x| / |b|, and the
+        per-iteration estimate of that residual.  The preconditioned
+        directions Z = M V are kept, so x = x0 + Z y needs no further apply.
+        """
+        n = b.size
+        restart = min(80, self.maxiter)
+        cycles = math.ceil(self.maxiter / restart)
+        target = self.tol * bnorm
+        r = b if x is None else b - self._matvec(x)
+        if x is None:
+            x = np.zeros(n)
+        history: list[float] = []
+        hess = np.zeros((restart, restart))
+        cs, sn, g = np.zeros(restart), np.zeros(restart), np.zeros(restart + 1)
+        # the basis block grows by doubling: most solves need a few rows
+        V = np.empty((min(16, restart + 1), n))
+        Z = np.empty_like(V)
+        for _ in range(cycles):
+            beta = float(np.linalg.norm(r))
+            if beta <= target:
+                break
+            V[0] = r * (1.0 / beta)
+            g[0] = beta
+            for j in range(restart):
+                Z[j] = self._precond(V[j])
+                w = self._matvec(Z[j])
+                # classical Gram-Schmidt, run twice
+                col = V[:j + 1] @ w
+                w -= col @ V[:j + 1]
+                again = V[:j + 1] @ w
+                w -= again @ V[:j + 1]
+                col += again
+                w_norm = float(np.linalg.norm(w))
+                for i in range(j):
+                    col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
+                                          cs[i] * col[i + 1] - sn[i] * col[i])
+                diag = np.hypot(col[j], w_norm)
+                cs[j], sn[j] = col[j] / diag, w_norm / diag
+                col[j] = diag
+                hess[:j + 1, j] = col
+                g[j + 1] = -sn[j] * g[j]
+                g[j] *= cs[j]
+                history.append(abs(float(g[j + 1])) / bnorm)
+                if abs(g[j + 1]) <= target:
+                    break
+                if j + 1 == len(V):
+                    rows = min(2 * len(V), restart + 1)
+                    V, Z = (np.concatenate((B, np.empty((rows - len(B), n))))
+                            for B in (V, Z))
+                V[j + 1] = w * (1.0 / w_norm)
+            k = j + 1
+            x = x + solve_triangular(hess[:k, :k], g[:k]) @ Z[:k]
+            r = b - self._matvec(x)
+        return x, float(np.linalg.norm(r)) / bnorm, history
+
     def solve(self, surface: np.ndarray, source: np.ndarray | None = None,
               bottom_flux: np.ndarray | None = None,
               guess: np.ndarray | None = None) -> np.ndarray:
@@ -358,22 +441,11 @@ class StripSolver:
         bvec = b.ravel()
         bnorm = float(np.linalg.norm(bvec))
         if bnorm == 0.0:
+            self.last_iterations = 0
             return np.ascontiguousarray(lift)
 
-        n = bvec.size
-        A = LinearOperator((n, n), matvec=self._matvec)
-        M = LinearOperator((n, n), matvec=self._precond)
         x0 = None if guess is None else (guess[1:] - surface).ravel()
-        history: list[float] = []
-        restart = min(80, self.maxiter)
-        cycles = max(1, int(np.ceil(self.maxiter / restart)))
-        sol, _ = gmres(A, bvec, x0=x0, M=M, rtol=self.tol, atol=0.0,
-                       restart=restart, maxiter=cycles,
-                       callback=lambda pr: history.append(float(pr)),
-                       callback_type="pr_norm")
-        # judge convergence on the true residual; the preconditioned criterion
-        # can stall at the rounding floor slightly above a very tight rtol
-        residual = float(np.linalg.norm(self._matvec(sol) - bvec)) / bnorm
+        sol, residual, history = self._gmres(bvec, bnorm, x0)
         self.last_iterations = len(history)
         if residual > max(50.0 * self.tol, 1e-13):
             raise EllipticSolveError(residual, history)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from wavestrip.grid import (
 )
 from wavestrip.dno import (
     DNOParams,
+    EllipticSolveError,
     StraighteningError,
     StripSolver,
     chebyshev_lobatto,
@@ -417,3 +419,95 @@ def test_guess_of_wrong_shape_raises():
     solver = StripSolver(straighten(eta, h=1.0, zpoints=24))
     with pytest.raises(ValueError, match="guess has shape"):
         solver.solve(psi.values, guess=np.zeros((24, 64)))
+
+
+def count_calls(solver: StripSolver, name: str) -> list[np.ndarray]:
+    """Record every argument of ``solver.<name>`` while still calling it."""
+    calls = []
+    method = getattr(solver, name)
+
+    def counted(vec):
+        calls.append(vec.copy())
+        return method(vec)
+
+    setattr(solver, name, counted)
+    return calls
+
+
+def strip_rhs(source: np.ndarray, bottom_flux: np.ndarray) -> np.ndarray:
+    """Right-hand side of the interior unknowns when the surface value is 0."""
+    return np.concatenate([source[1:-1], bottom_flux[None]]).ravel()
+
+
+def test_rounding_floor_ends_fast_and_reports_honestly():
+    # at zpoints 96 the Chebyshev rows put the reachable residual far above
+    # tol = 1e-16; the bounded restarts must end the solve with an honest error
+    eta = field_from_function(GRID, lambda x: 0.1 * np.cos(x))
+    solver = StripSolver(straighten(eta, h=1.0, zpoints=96), tol=1e-16)
+    matvec = solver._matvec
+    calls = count_calls(solver, "_matvec")
+    zc = solver.dom.z[:, None]
+    source = np.cos(zc) * np.sin(GRID.axes()[0])[None] + zc
+    with pytest.raises(EllipticSolveError) as err:
+        solver.solve(np.zeros(GRID.shape), source=source)
+    maxiter = solver.maxiter
+    assert len(calls) <= maxiter + math.ceil(maxiter / 80) + 2
+    assert len(err.value.history) == solver.last_iterations
+    b = strip_rhs(source, np.zeros(GRID.shape))
+    outside = np.linalg.norm(matvec(calls[-1]) - b) / np.linalg.norm(b)
+    assert err.value.residual == pytest.approx(outside, rel=1e-12)
+
+
+def dense_strip_operator(solver: StripSolver) -> np.ndarray:
+    """The strip operator on the interior unknowns, column by column."""
+    n = (solver.dom.nz - 1) * solver.dom.grid.size
+    return np.column_stack([solver._matvec(e) for e in np.eye(n)])
+
+
+@pytest.mark.parametrize("points, zpoints", [((16,), 12), ((8, 8), 10)])
+def test_solve_matches_dense_reference_within_call_budget(points, zpoints):
+    grid = make_grid([2 * np.pi] * len(points), points)
+    eta = field_from_function(grid, lambda x, *rest: 0.1 * np.cos(x)
+                              + 0.05 * np.sin(x + sum(rest)))
+    solver = StripSolver(straighten(eta, h=1.0, zpoints=zpoints))
+    A = dense_strip_operator(solver)
+    nz, shape = zpoints, grid.shape
+    zero_surface = np.zeros(shape)
+    rng = np.random.default_rng(11)
+
+    def counted_solve(source, flux, guess):
+        precond_calls = count_calls(solver, "_precond")
+        matvec_calls = count_calls(solver, "_matvec")
+        out = solver.solve(zero_surface, source, flux, guess)
+        del solver._precond, solver._matvec
+        return out, len(precond_calls), len(matvec_calls)
+
+    for dtype in (float, complex):
+        source = rng.normal(size=(nz,) + shape).astype(dtype)
+        flux = rng.normal(size=shape).astype(dtype)
+        if dtype is complex:
+            source += 1j * rng.normal(size=source.shape)
+            flux += 1j * rng.normal(size=shape)
+        b = strip_rhs(source, flux)
+        exact = np.zeros((nz,) + shape, dtype=dtype)
+        exact[1:] = np.linalg.solve(A, b).reshape((nz - 1,) + shape)
+        near = exact + 1e-4 * rng.normal(size=exact.shape)
+        near[0] = 0.0
+        for guess in (None, near):
+            out, precond_calls, matvec_calls = counted_solve(source, flux, guess)
+            assert np.max(np.abs(out - exact)) < 1e-10 * np.max(np.abs(exact))
+            # a real solve returns at a true residual within tol, paying one
+            # preconditioner apply per iteration and at most two more matvecs
+            # (initial and final residual); complex data runs two real solves
+            its = []
+            for part in (np.real, np.imag) if dtype is complex else (np.asarray,):
+                part_out = solver.solve(zero_surface, part(source), part(flux),
+                                        None if guess is None else part(guess))
+                its.append(solver.last_iterations)
+                res = np.linalg.norm(A @ part_out[1:].ravel() - part(b))
+                assert res <= solver.tol * np.linalg.norm(part(b))
+            assert precond_calls == sum(its) >= len(its)
+            assert matvec_calls <= sum(its) + 2 * len(its)
+    out, precond_calls, matvec_calls = counted_solve(None, None, None)
+    assert np.array_equal(out, np.zeros((nz,) + shape))
+    assert precond_calls == matvec_calls == solver.last_iterations == 0
