@@ -234,12 +234,6 @@ class StraightenedField:
     dom: StraightenedDomain
     values: np.ndarray  # (Nz, *grid.shape); row 0 is the surface z = 0
 
-    def surface(self) -> Field:
-        return Field(self.dom.grid, self.values[0])
-
-    def bottom(self) -> Field:
-        return Field(self.dom.grid, self.values[-1])
-
 
 class StripSolver:
     """Preconditioned GMRES for the straightened strip operator.
@@ -522,9 +516,10 @@ def dno_principal_symbol(eta: Field) -> ParaSymbol:
     grads = [g.values for g in spectral_gradient(eta)]
     grad2 = sum(g ** 2 for g in grads)
 
-    def eval_fn(x_meshes, xi):
+    def eval_fn(x_meshes, xis):
+        xi = [c.reshape((-1,) + (1,) * eta.grid.dim) for c in xis.T]
         dotted = sum(g * xi_c for g, xi_c in zip(grads, xi))
-        xi2 = float(np.sum(xi ** 2))
+        xi2 = sum(xi_c ** 2 for xi_c in xi)
         return np.sqrt((1.0 + grad2) * xi2 - dotted ** 2)
 
     return ParaSymbol(order=1.0, regularity=0.5, eval=eval_fn, homogeneous=True)

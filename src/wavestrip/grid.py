@@ -4,6 +4,13 @@ Everything else in the package is built on the two types defined here:
 ``PeriodicGrid`` (a d-dimensional periodic sample lattice, d = 1 or 2) and
 ``Field`` (scalar samples on such a grid).  All derivatives are spectral and
 quadratic nonlinearities are expected to go through ``dealiased_product``.
+
+Every Fourier multiplier (derivatives, <D>^s, the heat semigroup, the 2/3
+dealiasing rule, ``fourier_multiplier``) goes through ``apply_half_symbols``
+on the rfft half spectrum: one real transform pair, batched over leading axes.
+The full complex lattice (``fft``/``ifft``) serves only where the algorithm
+needs it: the paraproduct kernel, the Littlewood-Paley blocks and the
+Hermitian-symmetry debug check.
 """
 
 from __future__ import annotations
@@ -108,11 +115,27 @@ class PeriodicGrid:
         return tuple(out)
 
     @cached_property
-    def half_laplacian_symbol(self) -> np.ndarray:
-        """-|k|^2 on the rfftn half spectrum, Nyquist modes included."""
+    def half_wavenumber_meshes(self) -> tuple[np.ndarray, ...]:
+        """Wavenumber meshes on the rfftn half spectrum, one per axis."""
         km = np.meshgrid(*[k[:m] for k, m in zip(self.wavenumbers, self.half_shape)],
                          indexing="ij")
-        return _read_only(-sum(k ** 2 for k in km))
+        return tuple(_read_only(k) for k in km)
+
+    @cached_property
+    def half_laplacian_symbol(self) -> np.ndarray:
+        """-|k|^2 on the rfftn half spectrum, Nyquist modes included."""
+        return _read_only(-sum(k ** 2 for k in self.half_wavenumber_meshes))
+
+    @cached_property
+    def half_dealias_mask(self) -> np.ndarray:
+        """2/3-rule mask on the rfftn half spectrum: 1 on kept modes, 0 elsewhere."""
+        keep = np.meshgrid(*[np.abs(sfft.fftfreq(n, d=1.0 / n)[:m]) <= n / 3.0
+                             for n, m in zip(self.points, self.half_shape)], indexing="ij")
+        return _read_only(np.logical_and.reduce(keep).astype(float))
+
+    def half_bessel_symbol(self, s: float) -> np.ndarray:
+        """<k>^s = (1 + |k|^2)^(s/2) on the rfftn half spectrum."""
+        return (1.0 - self.half_laplacian_symbol) ** (s / 2.0)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -200,8 +223,9 @@ def ifft(grid: PeriodicGrid, spectrum: np.ndarray, real: bool = False) -> Field:
     return Field(grid, vals)
 
 
-def _x_axes(grid: PeriodicGrid, ndim: int) -> tuple[int, ...]:
-    return tuple(range(ndim - grid.dim, ndim))
+def _x_axes(grid: PeriodicGrid, ndim: int) -> tuple[int, ...] | None:
+    # None when nothing batches: scipy's axes handling costs microseconds a call
+    return None if ndim == grid.dim else tuple(range(ndim - grid.dim, ndim))
 
 
 def rfft_x(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
@@ -228,6 +252,8 @@ def apply_half_symbols(values: np.ndarray, grid: PeriodicGrid,
         return (apply_half_symbols(values.real, grid, symbols)
                 + 1j * apply_half_symbols(values.imag, grid, symbols))
     vh = rfft_x(values, grid)
+    if len(symbols) == 1:
+        return irfft_x(symbols[0] * vh, grid)[np.newaxis]
     return irfft_x(np.stack([m * vh for m in symbols]), grid)
 
 
@@ -246,41 +272,40 @@ def _hermitian_mirror(spec: np.ndarray) -> np.ndarray:
     return np.conj(spec[idx])
 
 
-def _multiplier_array(grid: PeriodicGrid, m) -> np.ndarray:
-    with np.errstate(all="ignore"):  # finiteness is checked below
-        arr = np.asarray(m(*grid.wavenumber_meshes()))
-    arr = np.broadcast_to(arr, grid.shape)
-    if not np.all(np.isfinite(arr)):
-        raise MultiplierDomainError(
-            "multiplier is not finite on the lattice; supply its value at xi = 0 "
-            "explicitly for homogeneous symbols"
-        )
-    return arr
+def _apply_half_symbol(u: Field, symbol: np.ndarray) -> Field:
+    return Field(u.grid, apply_half_symbols(u.values, u.grid, (symbol,))[0])
 
 
 def fourier_multiplier(u: Field, m) -> Field:
     """Apply the Fourier multiplier m(xi) mode by mode.
 
     ``m`` is called with one wavenumber mesh per axis (so ``m(k)`` in 1-D,
-    ``m(kx, ky)`` in 2-D) and must return finite values on the whole lattice.
-    Real input with a Hermitian multiplier returns a real field.
+    ``m(kx, ky)`` in 2-D) on the rfft half spectrum, and once more on the
+    negated meshes.  It must be finite there and Hermitian,
+    m(-k) = conj m(k), so that it maps real fields to real fields; otherwise
+    MultiplierDomainError is raised.  Complex fields are transformed part by
+    part.
     """
-    arr = _multiplier_array(u.grid, m)
-    out = arr * fft(u)
-    keep_real = u.is_real and np.allclose(arr, _hermitian_mirror(arr), atol=1e-13, rtol=1e-13)
-    return ifft(u.grid, out, real=keep_real)
+    km = u.grid.half_wavenumber_meshes
+    with np.errstate(all="ignore"):  # finiteness is checked below
+        arr, mirror = [np.broadcast_to(np.asarray(m(*k)), u.grid.half_shape)
+                       for k in (km, [-k for k in km])]
+    if not np.all(np.isfinite(arr)):
+        raise MultiplierDomainError("multiplier is not finite on the lattice; supply its "
+                                    "value at xi = 0 explicitly for homogeneous symbols")
+    if not np.allclose(mirror, np.conj(arr), atol=1e-13, rtol=1e-13):
+        raise MultiplierDomainError("multiplier is not Hermitian: m(-k) != conj m(k)")
+    return _apply_half_symbol(u, arr)
 
 
 def bessel_potential(u: Field, s: float) -> Field:
     """<D>^s u with <xi> = sqrt(1 + |xi|^2)."""
-    k2 = u.grid.abs_wavenumber() ** 2
-    return fourier_multiplier(u, lambda *km: (1.0 + k2) ** (s / 2.0))
+    return _apply_half_symbol(u, u.grid.half_bessel_symbol(s))
 
 
 def heat_propagator(u: Field, t: float) -> Field:
     """exp(t * Laplacian) as a multiplier; t >= 0."""
-    k2 = u.grid.abs_wavenumber() ** 2
-    return fourier_multiplier(u, lambda *km: np.exp(-t * k2))
+    return _apply_half_symbol(u, np.exp(t * u.grid.half_laplacian_symbol))
 
 
 def spectral_gradient(u: Field) -> tuple[Field, ...]:
@@ -289,28 +314,14 @@ def spectral_gradient(u: Field) -> tuple[Field, ...]:
 
 
 def divergence(vec: tuple[Field, ...]) -> Field:
-    parts = [spectral_gradient(v)[ax] for ax, v in enumerate(vec)]
-    out = parts[0]
-    for p in parts[1:]:
-        out = out + p
-    return out
-
-
-def dealias_mask(grid: PeriodicGrid) -> np.ndarray:
-    """2/3-rule mask: True on modes kept after dealiasing."""
-    mask = np.ones(grid.shape, dtype=bool)
-    for ax, n in enumerate(grid.points):
-        idx = np.abs(sfft.fftfreq(n, d=1.0 / n))
-        sel_shape = [1] * grid.dim
-        sel_shape[ax] = n
-        mask &= (idx <= n / 3.0).reshape(sel_shape)
-    return mask
+    """sum_j d_j vec_j, each component differentiated along its own axis only."""
+    grid = vec[0].grid
+    return sum(_apply_half_symbol(v, ik) for v, ik in zip(vec, grid.half_gradient_symbols))
 
 
 def dealias(u: Field) -> Field:
-    spec = fft(u)
-    spec[~dealias_mask(u.grid)] = 0.0
-    return ifft(u.grid, spec, real=u.is_real)
+    """2/3-rule truncation."""
+    return _apply_half_symbol(u, u.grid.half_dealias_mask)
 
 
 def dealiased_product(a: Field, b: Field) -> Field:
@@ -331,11 +342,8 @@ def norm_l2(u: Field) -> float:
 
 
 def sobolev_norm(u: Field, s: float) -> float:
-    """Plain periodic H^s norm via the <xi>^s weight (global, not windowed)."""
-    uh = fft(u)
-    w = (1.0 + u.grid.abs_wavenumber() ** 2) ** (s / 2.0)
-    scale = u.grid.cell_volume / u.grid.size
-    return float(np.sqrt(np.sum((w * np.abs(uh)) ** 2) * scale))
+    """Plain periodic H^s norm ||<D>^s u||_{L^2} (global, not windowed)."""
+    return norm_l2(bessel_potential(u, s))
 
 
 def shift_field(u: Field, cells: tuple[int, ...]) -> Field:

@@ -11,10 +11,11 @@ private kernel evaluates it exactly as the matrix product (Theta o C) psi u^,
 with C[xi, eta] = c^_eta(xi - eta) the symbol spectrum at the column's eta,
 in fixed-size chunks of eta columns and only on the pairs where theta is not
 zero.  ``paraproduct`` (a = a(x)) and ``paradiff_apply`` (a = a(x, xi),
-tabulated at every lattice eta) both call it.  The Littlewood-Paley blockwise
-realization S_{j-j0}(a) Delta_j(u) and the factorized route for symbols
-b(x) h(xi) are kept as independent references for the tests; the blockwise
-one differs from the kernel only near block boundaries.
+tabulated at every lattice eta) both call it.
+
+A symbol is evaluated on stacks of wavenumbers: ``ParaSymbol.eval(x_meshes,
+xis)`` takes xis of shape (m, d) and returns values broadcastable to
+(m, *grid.shape), so a chunk of eta columns is tabulated in one call.
 """
 
 from __future__ import annotations
@@ -66,9 +67,10 @@ class CutoffPair:
 class ParaSymbol:
     """Symbol a(x, xi) of declared order and spatial regularity rho in [0, 1].
 
-    ``eval(x_meshes, xi)`` returns the complex symbol values on the spatial
-    grid for one wavenumber vector xi (a length-d array).  Homogeneous
-    symbols are undefined at xi = 0 and advertise that with the flag.
+    ``eval(x_meshes, xis)`` takes a stack of wavenumber vectors, shape (m, d),
+    and returns values broadcastable to (m, *grid.shape), row i holding
+    a(x, xis[i]).  Homogeneous symbols are undefined at xi = 0, advertise
+    that with the flag, and are never evaluated there.
     """
 
     order: float
@@ -76,50 +78,48 @@ class ParaSymbol:
     eval: Callable[[tuple, np.ndarray], np.ndarray]
     homogeneous: bool = False
 
-    def values(self, grid: PeriodicGrid, xi) -> np.ndarray:
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        if self.homogeneous and np.all(xi == 0.0):
+    def _rows(self, grid: PeriodicGrid, xis: np.ndarray) -> np.ndarray:
+        """``eval`` on the stack ``xis``, broadcast to (m, *grid.shape) and checked."""
+        if self.homogeneous and np.any(np.all(xis == 0.0, axis=1)):
             raise SymbolDomainError("homogeneous symbol evaluated at xi = 0")
-        vals = np.asarray(self.eval(grid.meshes(), xi))
-        vals = np.broadcast_to(vals, grid.shape)
+        vals = np.broadcast_to(self.eval(grid.meshes(), xis), (len(xis),) + grid.shape)
         if not np.all(np.isfinite(vals)):
-            raise SymbolDomainError(f"symbol not finite at xi = {xi}")
+            raise SymbolDomainError(f"symbol not finite on the wavenumbers {xis.tolist()}")
         return vals
+
+    def values(self, grid: PeriodicGrid, xi) -> np.ndarray:
+        """a(x, xi) on the grid for one wavenumber vector xi: a one-row stack."""
+        return self._rows(grid, np.atleast_2d(np.asarray(xi, dtype=float)))[0]
 
     def homogeneity_defect(self, grid: PeriodicGrid, n_rays: int = 4) -> float:
         """Max relative defect of |xi|^order scaling along lattice rays."""
-        defect = 0.0
-        base = grid.wavenumbers[0][1]  # smallest positive wavenumber
-        for i in range(1, n_rays + 1):
-            xi = np.zeros(grid.dim)
-            xi[0] = i * base
-            v1 = self.values(grid, xi)
-            v2 = self.values(grid, 2.0 * xi)
-            scale = np.max(np.abs(v1)) * 2.0 ** self.order
-            if scale > 0:
-                defect = max(defect, float(np.max(np.abs(v2 - 2.0 ** self.order * v1)) / scale))
-        return defect
+        steps = np.arange(1, n_rays + 1) * grid.wavenumbers[0][1]  # smallest positive k
+        xis = np.zeros((2 * n_rays, grid.dim))
+        xis[:, 0] = np.concatenate([steps, 2.0 * steps])
+        v1, v2 = np.split(self._rows(grid, xis).reshape(2 * n_rays, -1), 2)
+        scale = np.max(np.abs(v1), axis=1) * 2.0 ** self.order
+        err = np.max(np.abs(v2 - 2.0 ** self.order * v1), axis=1)
+        return float(np.max(np.divide(err, scale, out=np.zeros_like(err), where=scale > 0)))
 
 
 def x_independent_symbol(order: float, h, regularity: float = 1.0,
                          homogeneous: bool = False) -> ParaSymbol:
-    """Symbol a(x, xi) = h(xi) with h acting on a length-d wavenumber vector."""
+    """Symbol a(x, xi) = h(xi), h mapping a stack (m, d) of wavenumbers to (m,)."""
     return ParaSymbol(
         order=order,
         regularity=regularity,
-        eval=lambda xm, xi: np.full(np.broadcast(*xm).shape if len(xm) > 1 else xm[0].shape,
-                                    complex(h(xi))),
+        eval=lambda xm, xis: np.reshape(h(xis), (-1,) + (1,) * len(xm)),
         homogeneous=homogeneous,
     )
 
 
 def separable_symbol(b: Field, order: float, h, regularity: float = 1.0,
                      homogeneous: bool = False) -> ParaSymbol:
-    """Symbol b(x) * h(xi)."""
+    """Symbol b(x) * h(xi), h mapping a stack (m, d) of wavenumbers to (m,)."""
     return ParaSymbol(
         order=order,
         regularity=regularity,
-        eval=lambda xm, xi: b.values * complex(h(xi)),
+        eval=lambda xm, xis: b.values * np.reshape(h(xis), (-1,) + (1,) * len(xm)),
         homogeneous=homogeneous,
     )
 
@@ -132,13 +132,12 @@ _CHUNK_PAIRS = 2 ** 17
 def _symbol_table(sym: ParaSymbol, grid: PeriodicGrid, xis: np.ndarray) -> np.ndarray:
     """Values a(x, xi) for the rows xi of ``xis`` (shape (m, d)), stacked first.
 
-    Rows at xi = 0 of a homogeneous symbol, where it is undefined, stay zero.
+    Rows at xi = 0 of a homogeneous symbol, where it is undefined, stay zero
+    and are never evaluated.
     """
-    xm = grid.meshes()
     table = np.zeros((len(xis),) + grid.shape, dtype=complex)
-    for row, xi in zip(table, xis):
-        if not (sym.homogeneous and np.all(xi == 0.0)):
-            row[...] = sym.eval(xm, xi)
+    rows = np.any(xis != 0.0, axis=1) if sym.homogeneous else slice(None)
+    table[rows] = sym.eval(grid.meshes(), xis[rows])
     return table
 
 
@@ -205,35 +204,6 @@ def paradiff_apply(sym: ParaSymbol, u: Field, cut: CutoffPair | None = None) -> 
     out = _lattice_apply(
         u, cut, lambda k_eta: sfft.fftn(_symbol_table(sym, grid, k_eta), axes=axes))
     return ifft(grid, out)
-
-
-def separable_apply(b: Field, h, u: Field, cut: CutoffPair | None = None) -> Field:
-    """Factorized route for a(x, xi) = b(x) h(xi): T_b psi(D) h(D) u.
-
-    Agrees with the general route exactly on modes where psi is 0 or 1.
-    """
-    if cut is None:
-        cut = CutoffPair()
-    km = u.grid.wavenumber_meshes()
-    kabs = u.grid.abs_wavenumber()
-    harr = np.asarray(h(np.stack(km)))
-    filt = cut.psi(kabs) * harr
-    v = ifft(u.grid, filt * fft(u))
-    return paraproduct(b, v, cut)
-
-
-def paraproduct_blockwise(a: Field, u: Field, dd: DyadicDecomposition,
-                          j0: int = 3) -> Field:
-    """Blockwise realization sum_j S_{j-j0}(a) Delta_j(u)."""
-    a_hat = fft(a)
-    u_hat = fft(u)
-    out = np.zeros(a.grid.shape, dtype=complex)
-    for j in range(0, dd.jmax + 1):
-        piece_u = ifft(u.grid, dd.block_multiplier(j) * u_hat).values
-        low_a = ifft(a.grid, dd.lowpass_multiplier(j - j0) * a_hat).values
-        out += low_a * piece_u
-    real_out = a.is_real and u.is_real
-    return Field(a.grid, out.real if real_out else out)
 
 
 def bony_remainder(a: Field, u: Field, cut: CutoffPair | None = None) -> Field:

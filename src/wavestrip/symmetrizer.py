@@ -61,11 +61,11 @@ def symmetrizer_symbols(a: Field, eta: Field) -> tuple[ParaSymbol, ParaSymbol]:
         )
     lam = dno_principal_symbol(eta)
 
-    def gamma_eval(xm, xi):
-        return np.sqrt(a.values * lam.eval(xm, xi))
+    def gamma_eval(xm, xis):
+        return np.sqrt(a.values * lam.eval(xm, xis))
 
-    def q_eval(xm, xi):
-        return np.sqrt(a.values / lam.eval(xm, xi))
+    def q_eval(xm, xis):
+        return np.sqrt(a.values / lam.eval(xm, xis))
 
     gamma = ParaSymbol(order=0.5, regularity=0.5, eval=gamma_eval, homogeneous=True)
     q = ParaSymbol(order=-0.5, regularity=0.5, eval=q_eval, homogeneous=True)

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft as sfft
 
-from wavestrip.grid import (Field, PeriodicGrid, bessel_potential, fft, gradient_x, ifft,
-                            norm_l2)
+from wavestrip.grid import Field, PeriodicGrid, apply_half_symbols, fft, gradient_x, ifft
 
 
 def smooth_step(t: np.ndarray) -> np.ndarray:
@@ -45,7 +44,6 @@ class PartitionOfUnity:
     zero: float = 1.0
     centers: list[tuple[float, ...]] = field(init=False, repr=False)
     windows: np.ndarray = field(init=False, repr=False)  # (n_windows, *grid.shape)
-    normalizer: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.flat < self.zero <= 1.0):
@@ -83,7 +81,6 @@ class PartitionOfUnity:
         if np.min(total) <= 0:
             raise ValueError("window family does not cover the torus")
         self.windows = raw / total
-        self.normalizer = total
         self.centers = centers
 
     @property
@@ -98,12 +95,14 @@ class PartitionOfUnity:
 
 
 def ul_sobolev_norm(u: Field, s: float, pou: PartitionOfUnity) -> float:
-    """sup over windows q of ||<D>^s (chi_q u)||_{L^2} on the torus."""
-    best = 0.0
-    for q in range(pou.n_windows):
-        w = Field(u.grid, pou.windows[q] * u.values)
-        best = max(best, norm_l2(bessel_potential(w, s)))
-    return best
+    """sup over windows q of ||<D>^s (chi_q u)||_{L^2} on the torus (pou on u's grid)."""
+    grid = u.grid
+    if pou.grid != grid:
+        raise ValueError("the partition of unity was built on another grid")
+    pieces = apply_half_symbols(pou.windows * u.values, grid,
+                                (grid.half_bessel_symbol(s),))[0]
+    sq = np.sum(np.abs(pieces) ** 2, axis=tuple(range(1, grid.dim + 1)))
+    return float(np.sqrt(np.max(sq) * grid.cell_volume))
 
 
 @dataclass
@@ -155,11 +154,6 @@ def dyadic_block(u: Field, j: int, dd: DyadicDecomposition) -> Field:
     """Frequency block Delta_j u."""
     mult = dd.block_multiplier(j)
     return ifft(u.grid, mult * fft(u), real=u.is_real)
-
-
-def lowpass(u: Field, m: int, dd: DyadicDecomposition) -> Field:
-    """S_m u: modes up to the 2^m scale."""
-    return ifft(u.grid, dd.lowpass_multiplier(m) * fft(u), real=u.is_real)
 
 
 def _zygmund_norms(values: np.ndarray, grid: PeriodicGrid, sigma: float,

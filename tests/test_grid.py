@@ -9,13 +9,16 @@ from wavestrip.grid import (
     MultiplierDomainError,
     bessel_potential,
     dealiased_product,
+    divergence,
     fft,
     field_from_function,
     fourier_multiplier,
+    heat_propagator,
     inner_l2,
     make_grid,
     norm_l2,
     shift_field,
+    sobolev_norm,
     spectral_gradient,
 )
 
@@ -77,6 +80,71 @@ def test_multiplier_nonfinite_rejected():
     u = random_field(g, seed=1)
     with pytest.raises(MultiplierDomainError):
         fourier_multiplier(u, lambda k: 1.0 / k)
+
+
+def test_multiplier_not_hermitian_rejected():
+    # m(-k) != conj m(k): no real operator, so the half spectrum cannot carry it
+    g = make_grid([2 * np.pi], [16])
+    u = random_field(g, seed=1)
+    with pytest.raises(MultiplierDomainError):
+        fourier_multiplier(u, lambda k: (k > 0).astype(float))
+
+
+def lattice_oracle(u, mult):
+    """The multiplier array ``mult`` applied on the full np.fft lattice."""
+    out = np.fft.ifftn(mult * np.fft.fftn(u.values))
+    return out.real if u.is_real else out
+
+
+def white_noise(grid, seed, complex_):
+    """Samples that carry every lattice mode, Nyquist modes included."""
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=grid.shape)
+    return Field(grid, vals + 1j * rng.normal(size=grid.shape) if complex_ else vals)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("lengths, points", [([2 * np.pi], [64]), ([2 * np.pi, 3.0], [16, 24])],
+                         ids=["1d64", "2d16x24"])
+def test_half_spectrum_multipliers_match_full_lattice_oracles(lengths, points, complex_):
+    g = make_grid(lengths, points)
+    u, v = white_noise(g, 1, complex_), white_noise(g, 2, complex_)
+    km = g.wavenumber_meshes()
+    k2 = sum(k ** 2 for k in km)
+    spacing = [L / n for L, n in zip(g.lengths, g.points)]
+
+    def m(*k):  # Hermitian; its odd part sin(k dx) vanishes at the Nyquist modes
+        odd = sum(np.sin(kc * dx) for kc, dx in zip(k, spacing))
+        return np.exp(-0.01 * sum(kc ** 2 for kc in k)) * (1.0 + 0.5j * odd)
+
+    keep = np.ones(g.shape, dtype=bool)
+    for ax, n in enumerate(g.points):
+        shape = [1] * g.dim
+        shape[ax] = n
+        keep &= (np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= n / 3.0).reshape(shape)
+    derivs = []
+    for ax, n in enumerate(g.points):
+        k = km[ax].copy()
+        k[(slice(None),) * ax + (n // 2,)] = 0.0  # as in spectral_gradient
+        derivs.append(1j * k)
+
+    cases = [
+        (fourier_multiplier(u, m), lattice_oracle(u, m(*km))),
+        (bessel_potential(u, -0.5), lattice_oracle(u, (1.0 + k2) ** -0.25)),
+        (bessel_potential(u, 1.5), lattice_oracle(u, (1.0 + k2) ** 0.75)),
+        (heat_propagator(u, 0.005), lattice_oracle(u, np.exp(-0.005 * k2))),
+        (dealiased_product(u, v), lattice_oracle(Field(g, u.values * v.values), keep)),
+        (divergence((u, v)[: g.dim]),
+         sum(lattice_oracle(w, ik) for w, ik in zip((u, v), derivs))),
+    ]
+    for out, ref in cases:
+        assert out.is_real != complex_
+        assert np.max(np.abs(out.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+    for s in (-0.5, 1.5):
+        weight = (1.0 + k2) ** (s / 2.0)
+        ref = np.sqrt(np.sum((weight * np.abs(np.fft.fftn(u.values))) ** 2)
+                      * g.cell_volume / g.size)
+        assert abs(sobolev_norm(u, s) - ref) <= 1e-13 * ref
 
 
 def test_gradient_single_mode():

@@ -9,13 +9,13 @@ from wavestrip.paradiff import (
     bony_remainder,
     paradiff_apply,
     paraproduct,
-    paraproduct_blockwise,
-    separable_apply,
     separable_symbol,
     symbol_seminorm,
     x_independent_symbol,
 )
 from wavestrip.ulspaces import DyadicDecomposition
+
+from paradiff_reference import paraproduct_blockwise, separable_apply
 
 GRID = make_grid([2 * np.pi], [128])
 CUT = CutoffPair()
@@ -52,7 +52,8 @@ def reference_apply(column_hat, u, cut):
 
 def symbol_column_hat(sym, grid):
     xm = grid.meshes()
-    return lambda k_eta: np.fft.fftn(np.broadcast_to(sym.eval(xm, k_eta), grid.shape))
+    return lambda k_eta: np.fft.fftn(
+        np.broadcast_to(sym.eval(xm, k_eta[None]), (1,) + grid.shape)[0])
 
 
 def rel_err(out, ref):
@@ -202,9 +203,45 @@ def test_blockwise_close_on_smooth_data():
     assert norm_l2(direct - block) < 0.15 * norm_l2(direct)
 
 
+@pytest.mark.parametrize("lengths, points", [([2 * np.pi], [32]),
+                                             ([2 * np.pi, 3 * np.pi], [12, 16])],
+                         ids=["1d32", "2d12x16"])
+def test_symbol_table_rows_are_one_row_values(lengths, points):
+    import warnings
+
+    from wavestrip.dno import dno_principal_symbol
+    from wavestrip.paradiff import _symbol_table
+    from wavestrip.symmetrizer import symmetrizer_symbols
+
+    grid = make_grid(lengths, points)
+    x = grid.meshes()
+    eta = Field(grid, 0.1 * np.cos(x[0]) + 0.05 * np.sin(sum(x)))
+    b = Field(grid, 1.0 + 0.2 * np.cos(x[-1]))
+    gamma, q = symmetrizer_symbols(b, eta)
+    syms = [dno_principal_symbol(eta), gamma, q,
+            x_independent_symbol(1.0, lambda xi: np.sqrt(1.0 + np.sum(xi ** 2, axis=-1))),
+            separable_symbol(b, 1.0, lambda xi: np.linalg.norm(xi, axis=-1),
+                             homogeneous=True)]
+    xis = np.stack([k.ravel() for k in grid.wavenumber_meshes()], axis=-1)
+    assert not xis[0].any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a homogeneous symbol is never evaluated at 0
+        for sym in syms:
+            table = _symbol_table(sym, grid, xis)
+            if sym.homogeneous:
+                assert not table[0].any()
+            else:
+                np.testing.assert_array_equal(table[0], sym.values(grid, xis[0]))
+            for row, xi in zip(table[1:], xis[1:]):
+                np.testing.assert_array_equal(row, sym.values(grid, xi))
+        assert np.isfinite(symbol_seminorm(q, grid))
+        u = Field(grid, np.cos(5 * x[0]) + np.sin(3 * x[-1]))
+        assert np.all(np.isfinite(paradiff_apply(q, u, CUT).values))
+
+
 def test_paradiff_multiplier_reduction():
     u = cexp(GRID, 4)
-    sym = x_independent_symbol(1.0, lambda xi: np.linalg.norm(xi), homogeneous=True)
+    sym = x_independent_symbol(1.0, lambda xi: np.linalg.norm(xi, axis=-1), homogeneous=True)
     out = paradiff_apply(sym, u, CUT)
     assert np.allclose(out.values, 4.0 * u.values, atol=1e-11)
 
@@ -213,7 +250,7 @@ def test_paradiff_factorization_route():
     b = field_from_function(GRID, lambda x: 1.0 + 0.4 * np.cos(x))
     k = 24
     u = cexp(GRID, k)
-    sym = separable_symbol(b, 1.0, lambda xi: np.linalg.norm(xi), homogeneous=True)
+    sym = separable_symbol(b, 1.0, lambda xi: np.linalg.norm(xi, axis=-1), homogeneous=True)
     general = paradiff_apply(sym, u, CUT)
     factored = separable_apply(b, lambda km: np.sqrt(np.sum(km ** 2, axis=0)), u, CUT)
     assert np.max(np.abs(general.values - factored.values)) < 1e-10
@@ -227,8 +264,6 @@ def test_paradiff_dno_symbol_is_multiplier_in_1d():
     lam = dno_principal_symbol(eta)
     u = cexp(GRID, 9)
     out = paradiff_apply(lam, u, CUT)
-    from wavestrip.grid import fourier_multiplier
-
     ref_vals = 9.0 * u.values  # psi(9) = 1
     assert np.max(np.abs(out.values - ref_vals)) < 1e-10
 
@@ -286,10 +321,10 @@ def test_remainder_smoothing_on_rough_data():
 
 def test_composition_order_gain():
     b = field_from_function(GRID, lambda x: 1.0 + 0.3 * np.cos(x))
-    sym_a = separable_symbol(b, 1.0, lambda xi: np.linalg.norm(xi),
+    sym_a = separable_symbol(b, 1.0, lambda xi: np.linalg.norm(xi, axis=-1),
                              regularity=1.0, homogeneous=True)
     b2 = Field(GRID, b.values ** 2)
-    sym_a2 = separable_symbol(b2, 2.0, lambda xi: np.sum(xi ** 2), homogeneous=True)
+    sym_a2 = separable_symbol(b2, 2.0, lambda xi: np.sum(xi ** 2, axis=-1), homogeneous=True)
     ratios, ks = [], [8, 16, 32]
     for k in ks:
         u = cexp(GRID, k)
@@ -301,7 +336,7 @@ def test_composition_order_gain():
 
 
 def test_seminorm_x_independent_bracket_symbol():
-    sym = x_independent_symbol(1.0, lambda xi: np.sqrt(1.0 + np.sum(xi ** 2)))
+    sym = x_independent_symbol(1.0, lambda xi: np.sqrt(1.0 + np.sum(xi ** 2, axis=-1)))
     g = make_grid([2 * np.pi], [64])
     val = symbol_seminorm(sym, g, DyadicDecomposition(g))
     assert np.isfinite(val)
@@ -315,7 +350,7 @@ def test_seminorm_scales_linearly_in_coefficient():
 
     def make(scale):
         vf = Field(g, scale * v.values)
-        return separable_symbol(vf, 1.0, lambda xi: 1j * xi[0], regularity=0.5,
+        return separable_symbol(vf, 1.0, lambda xi: 1j * xi[:, 0], regularity=0.5,
                                 homogeneous=True)
 
     s1 = symbol_seminorm(make(1.0), g, dd)
@@ -330,7 +365,7 @@ def test_seminorm_zero_symbol():
 
 
 def test_homogeneous_symbol_rejects_origin():
-    sym = x_independent_symbol(1.0, lambda xi: np.linalg.norm(xi), homogeneous=True)
+    sym = x_independent_symbol(1.0, lambda xi: np.linalg.norm(xi, axis=-1), homogeneous=True)
     with pytest.raises(SymbolDomainError):
         sym.values(GRID, np.zeros(1))
 

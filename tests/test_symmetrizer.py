@@ -144,7 +144,7 @@ def test_theta_dual_realization_cross_check():
     _, q = symmetrizer_symbols(a, eta)
     zs = Field(GRID, np.cos(11 * x) + 0.5 * np.sin(5 * x))
     general = theta_field((zs,), q, CUT)[0]
-    from wavestrip.paradiff import separable_apply
+    from paradiff_reference import separable_apply
 
     sqrt_a = Field(GRID, np.sqrt(a.values))
 

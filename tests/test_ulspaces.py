@@ -75,15 +75,27 @@ def test_windowed_norm_of_cosine_against_quadrature():
 
 
 def test_localized_bump_attained_at_nearest_window():
-    x0 = POU.centers[2][0]
-    u = field_from_function(GRID, lambda x: np.exp(-20.0 * ((x - x0 + np.pi) % (2 * np.pi) - np.pi) ** 2))
     from wavestrip.grid import bessel_potential
 
-    vals = [
-        norm_l2(bessel_potential(Field(GRID, POU.windows[q] * u.values), 0.0))
-        for q in range(POU.n_windows)
-    ]
-    assert int(np.argmax(vals)) == 2
+    grid2 = make_grid([2 * np.pi, 4.0], [32, 16])
+    for grid, pou in [(GRID, POU), (grid2, PartitionOfUnity(grid2))]:
+        c = pou.centers[2]
+        u = field_from_function(grid, lambda *x: np.exp(-20.0 * sum(
+            ((xi - ci + L / 2) % L - L / 2) ** 2 for xi, ci, L in zip(x, c, grid.lengths))))
+        for s in (0.0, 0.5, 1.0, 2.0):
+            # the per-window loop the batched norm replaced
+            vals = [
+                norm_l2(bessel_potential(Field(grid, pou.windows[q] * u.values), s))
+                for q in range(pou.n_windows)
+            ]
+            assert int(np.argmax(vals)) == 2
+            assert ul_sobolev_norm(u, s, pou) == pytest.approx(max(vals), rel=1e-13)
+
+
+def test_partition_from_another_grid_is_rejected():
+    u = field_from_function(make_grid([4 * np.pi], [64]), np.cos)
+    with pytest.raises(ValueError, match="another grid"):
+        ul_sobolev_norm(u, 1.0, PartitionOfUnity(make_grid([2 * np.pi], [64])))
 
 
 def test_monotonicity_in_s():
