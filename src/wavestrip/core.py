@@ -139,20 +139,14 @@ def taylor_coefficient(state: SurfaceState, sol: DNOSolution,
     grid = dom.grid
     phi = sol.phi.values
 
-    lam1 = dom.lambda1(phi)
-    lam2 = dom.lambda2(phi)
-    hess_sq = dom.lambda1(lam1) ** 2
-    for comp in dom.lambda2(lam1):
-        hess_sq = hess_sq + comp ** 2
-    for l2c in lam2:
-        hess_sq = hess_sq + dom.lambda1(l2c) ** 2
-        for comp in dom.lambda2(l2c):
-            hess_sq = hess_sq + comp ** 2
+    # [Lambda_1 Phi, Lambda_2 Phi], then Lambda_i of each of them at [i, j]
+    first = dom.chain_gradient(phi)
+    hess_sq = np.sum(dom.chain_gradient(first) ** 2, axis=(0, 1))
     source = StraightenedField(dom, -dom.alpha * hess_sq)
 
     # Bernoulli bottom data: conormal(P) = -conormal(|grad Phi|^2 / 2) - g
     # (d_t Phi has no flux through the bottom), and conormal(g rho) = g
-    half_speed2 = 0.5 * (lam1 ** 2 + sum(c ** 2 for c in lam2))
+    half_speed2 = 0.5 * np.sum(first ** 2, axis=0)
     flux = Field(grid, -dom.conormal_flux(half_speed2, -1))
 
     q = solve_laplace(dom, state.g * state.eta, source=source, bottom_flux=flux,

@@ -6,6 +6,9 @@ The fluid strip below the surface is flattened by the smoothed diffeomorphism
 
 with E(t) the smoothing semigroup exp(t(<D>-1)); constants are exact fixed
 points of E, so a flat or constant surface straightens to rho = eta + z h.
+rho - h z and every derivative of rho the coefficients need are linear in
+eta, so one table of half-spectrum multipliers per (grid, delta, zpoints),
+built on first use, takes rfft(eta) to all of them in one inverse transform.
 The Laplace problem becomes the variable-coefficient strip problem
 
     (d_zz + alpha Lap_x + beta . grad_x d_z - gamma d_z) Phi = F,
@@ -19,25 +22,30 @@ relative residual |b - A x| / |b| is at most tol; that residual is formed at
 the end of each cycle of at most 80 iterations, and the next cycle restarts
 from it, for at most ceil(maxiter / 80) cycles.  Every x-derivative runs on
 the rfft half spectrum of the real samples.  The preconditioner is the strip
-operator with
-x-averaged alpha, gamma and g1 and without beta and g2 (exact when the
+operator with alpha and g1 replaced by their means (alpha over the interior
+nodes, g1 at the bottom) and without gamma, beta and g2 (exact when the
 surface is flat, so that case converges in one iteration).  It is diagonal
 in the x-Fourier modes, and its z-line operators differ between modes only
 by -|k|^2 alpha_bar, so one eigendecomposition in z inverts all of them: the
 matrix-diagonalization method of Haidvogel & Zang, "The accurate solution of
 Poisson's equation by expansion in Chebyshev polynomials", J. Comput. Phys.
-30 (1979).  The bottom row is the conormal (physical no-flux) operator
-rather than the bare d_z: the straightened bottom z = -1 is the curved
-physical line y = eta - h, and only the conormal condition keeps the
-resulting Dirichlet-Neumann operator self-adjoint and positive.  The surface
-trace G(eta) psi = (g1 d_z - g2 . grad_x) Phi at z = 0 uses the spectral
-one-sided Chebyshev derivative.
+30 (1979).  With the bottom datum scaled by 1 / g1_bar, that z-line operator
+is the flat one, so its real eigenbasis is computed once per zpoints and a
+solver build only forms the per-mode scales.  The bottom row is the conormal
+(physical no-flux) operator rather than the bare d_z: the straightened
+bottom z = -1 is the curved physical line y = eta - h, and only the
+conormal condition keeps the resulting Dirichlet-Neumann operator
+self-adjoint and positive.  The surface trace G(eta) psi =
+(g1 d_z - g2 . grad_x) Phi at z = 0 uses the spectral one-sided Chebyshev
+derivative.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
+from weakref import WeakKeyDictionary, ref
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -45,11 +53,11 @@ from scipy.linalg import solve_triangular
 from wavestrip.grid import (
     Field,
     PeriodicGrid,
+    _read_only,
     apply_half_symbols,
     dealiased_product,
     gradient_x,
     irfft_x,
-    laplacian_x,
     rfft_x,
     spectral_gradient,
 )
@@ -107,6 +115,54 @@ def chebyshev_lobatto(n: int) -> tuple[np.ndarray, np.ndarray]:
     return z, 2.0 * D  # chain rule dz = dt/2
 
 
+@dataclass(frozen=True)
+class _ZLine:
+    """Tables of the Chebyshev z line that depend on zpoints only.
+
+    The preconditioner's z-line problem with alpha = 1 and g1 = 1 is
+    Dz2 u = r on the interior nodes and Dz u = r at the bottom, with u = 0
+    at the surface.  The bottom row gives u_b = t - e . u_I with the scaled
+    bottom datum t = r_b / Dz[-1, -1]; eliminating u_b leaves the reduced
+    interior operator, diagonalized once as E diag(lam) E^{-1} (real, with
+    negative simple eigenvalues).  ``V`` and ``W`` fold the elimination in:
+
+        W [r_I; t] = [E^{-1} (r_I - c t); t],   V [y; t] = [E y; t - e . E y],
+
+    where c is the column of the interior rows on the bottom unknown.
+    """
+
+    z: np.ndarray
+    Dz: np.ndarray
+    dz_rows: np.ndarray  # rows 1.. of Dz, then interior rows of Dz2, on u_1..
+    lam: np.ndarray
+    V: np.ndarray
+    W: np.ndarray
+
+
+@cache
+def _z_line(zpoints: int) -> _ZLine:
+    """The z line of ``zpoints`` Chebyshev nodes, built on first use."""
+    z, Dz = chebyshev_lobatto(zpoints)
+    Dz2 = Dz @ Dz
+    n = zpoints - 1
+    e = Dz[-1, 1:-1] / Dz[-1, -1]
+    c = Dz2[1:-1, -1]
+    lam, vecs = np.linalg.eig(Dz2[1:-1, 1:-1] - np.outer(c, e))
+    if np.iscomplexobj(lam):
+        raise ValueError(f"z-line eigenbasis at zpoints = {zpoints} is not real")
+    inv = np.linalg.inv(vecs)
+    V = np.zeros((n, n))
+    V[:-1, :-1] = vecs
+    V[-1, :-1] = -e @ vecs
+    V[-1, -1] = 1.0
+    W = np.zeros((n, n))
+    W[:-1, :-1] = inv
+    W[:-1, -1] = -inv @ c
+    W[-1, -1] = 1.0
+    dz_rows = np.vstack([Dz[1:, 1:], Dz2[1:-1, 1:]])
+    return _ZLine(*(_read_only(a) for a in (z, Dz, dz_rows, lam, V, W)))
+
+
 @dataclass
 class StraightenedDomain:
     """rho(x, z), its derivatives, and the elliptic coefficients on the strip."""
@@ -135,21 +191,22 @@ class StraightenedDomain:
             self._solver = StripSolver(self, tol=tol, maxiter=maxiter)
         return self._solver
 
-    def dz_apply(self, values: np.ndarray) -> np.ndarray:
-        return np.tensordot(self.Dz, values, axes=(1, 0))
-
     def grad_x(self, values: np.ndarray) -> np.ndarray:
         """x-gradient of samples on the strip (or of one row), components first."""
         return gradient_x(values, self.grid)
 
-    def lambda1(self, values: np.ndarray) -> np.ndarray:
-        """Chain-rule vertical derivative (1/d_z rho) d_z."""
-        return self.dz_apply(values) / self.drho_z
+    def chain_gradient(self, values: np.ndarray) -> np.ndarray:
+        """Chain-rule gradient (Lambda_1 v, *Lambda_2 v), stacked first.
 
-    def lambda2(self, values: np.ndarray) -> list[np.ndarray]:
-        """Chain-rule horizontal gradient grad_x - (grad_x rho / d_z rho) d_z."""
-        vz = self.dz_apply(values) / self.drho_z
-        return [g - rx * vz for g, rx in zip(self.grad_x(values), self.drho_x)]
+        Lambda_1 = (1/d_z rho) d_z is the vertical derivative and
+        Lambda_2 = grad_x - grad_x rho Lambda_1 the horizontal gradient of
+        the physical domain.  Axes of ``values`` before (nz, *grid.shape)
+        batch, so one d_z product and one gradient transform serve a stack.
+        """
+        flat = values.reshape(values.shape[:-self.grid.dim] + (-1,))
+        vz = (self.Dz @ flat).reshape(values.shape) / self.drho_z
+        grads = self.grad_x(values)
+        return np.stack([vz] + [g - rx * vz for g, rx in zip(grads, self.drho_x)])
 
     def flux_coefficients(self, row: int) -> tuple[np.ndarray, list[np.ndarray]]:
         """(g1, g2) of the conormal operator g1 d_z - g2 . grad_x at a z row."""
@@ -170,45 +227,76 @@ def straighten(eta: Field, h: float, delta: float = 0.1,
                zpoints: int = 48) -> StraightenedDomain:
     """Build the straightening diffeomorphism and elliptic coefficients.
 
+    Every derivative of rho that the coefficients need is linear in eta, so
+    one cached table of half-spectrum multipliers (see _straightening_table)
+    and one inverse transform give them all; the depth enters as the
+    constants h z and h.
+
     Raises StraighteningError when min d_z rho < h/2 anywhere; the caller is
     expected to halve delta and retry (see straighten_adaptive).
     """
     if h <= 0:
         raise ValueError("strip depth h must be positive")
     grid = eta.grid
-    z, Dz = chebyshev_lobatto(zpoints)
-    zc = z.reshape((-1,) + (1,) * grid.dim)
-    # smoothing tables (<k>-1)^p exp(s(z)(<k>-1)) eta, p = 0, 1, 2, with
-    # s = delta z (A) and s = -delta (1+z) (B), in one inverse transform
-    kb = np.sqrt(1.0 - grid.half_laplacian_symbol) - 1.0
-    eta_hat = rfft_x(eta.values, grid)
-    tables = []
-    for s in (delta * zc, -delta * (1.0 + zc)):
-        smoothed = np.exp(s * kb) * eta_hat
-        tables += [smoothed, kb * smoothed, kb ** 2 * smoothed]
-    A0, A1, A2, B0, B1, B2 = irfft_x(np.stack(tables), grid)
-    rho = (1.0 + zc) * A0 - zc * (B0 - h)
-    drho_z = A0 + (1.0 + zc) * delta * A1 - B0 + h + zc * delta * B1
-    d2rho_z = 2.0 * delta * A1 + (1.0 + zc) * delta ** 2 * A2 \
-        + 2.0 * delta * B1 - zc * delta ** 2 * B2
+    line = _z_line(zpoints)
+    zc = line.z.reshape((-1,) + (1,) * grid.dim)
+    table = _straightening_table(grid, delta, zpoints)
+    rho, drho_z, d2rho_z, lap_rho, *grads = irfft_x(
+        table * rfft_x(eta.values, grid), grid)
+    drho_z = drho_z + h
 
     min_dz = float(np.min(drho_z))
     if min_dz < h / 2.0:
         raise StraighteningError(min_dz, h / 2.0)
 
-    dom = StraightenedDomain(
-        grid=grid, h=h, delta=delta, z=z, Dz=Dz, rho=rho, drho_z=drho_z,
-        drho_x=(), d2rho_z=d2rho_z, alpha=np.empty(0), beta=(), gamma=np.empty(0),
+    # the domain keeps copies, not views that would hold the whole stack
+    rho = rho + h * zc
+    d2rho_z = d2rho_z.copy()
+    drho_x = tuple(g.copy() for g in grads[:grid.dim])
+    grad_drho_z = grads[grid.dim:]
+    grad2 = sum(g ** 2 for g in drho_x)
+    alpha = drho_z ** 2 / (1.0 + grad2)
+    beta = tuple(-2.0 * drho_z * g / (1.0 + grad2) for g in drho_x)
+    gamma = (d2rho_z + alpha * lap_rho
+             + sum(b * g for b, g in zip(beta, grad_drho_z))) / drho_z
+    return StraightenedDomain(
+        grid=grid, h=h, delta=delta, z=line.z, Dz=line.Dz, rho=rho,
+        drho_z=drho_z, drho_x=drho_x, d2rho_z=d2rho_z, alpha=alpha, beta=beta,
+        gamma=gamma,
     )
-    dom.drho_x = tuple(dom.grad_x(rho))
-    grad2 = sum(g ** 2 for g in dom.drho_x)
-    dom.alpha = drho_z ** 2 / (1.0 + grad2)
-    dom.beta = tuple(-2.0 * drho_z * g / (1.0 + grad2) for g in dom.drho_x)
-    lap_rho = laplacian_x(rho, grid)
-    grad_drho_z = dom.grad_x(drho_z)
-    dom.gamma = (d2rho_z + dom.alpha * lap_rho
-                 + sum(b * g for b, g in zip(dom.beta, grad_drho_z))) / drho_z
-    return dom
+
+
+# per grid, the straightening table of each (delta, zpoints); an entry lives
+# as long as its grid
+_STRAIGHTENING_TABLES: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _straightening_table(grid: PeriodicGrid, delta: float,
+                         zpoints: int) -> np.ndarray:
+    """Half-spectrum multipliers taking rfft(eta) to the spectra of rho - h z,
+    d_z rho - h, d_z^2 rho, Lap rho, grad rho and grad d_z rho.
+
+    With E(s) = exp(s (<k> - 1)), rho - h z = ((1+z) E(delta z)
+    - z E(-delta (1+z))) eta, so each row is a z-dependent multiplier of
+    eta_hat.  Shape (4 + 2 dim, zpoints, *grid.half_shape); built on first
+    use and shared, read-only, by every surface on the grid.
+    """
+    tables = _STRAIGHTENING_TABLES.setdefault(grid, {})
+    key = (delta, zpoints)
+    if key not in tables:
+        zc = _z_line(zpoints).z.reshape((-1,) + (1,) * grid.dim)
+        kb = np.sqrt(1.0 - grid.half_laplacian_symbol) - 1.0
+        ea = np.exp(delta * zc * kb)
+        eb = np.exp(-delta * (1.0 + zc) * kb)
+        rho = (1.0 + zc) * ea - zc * eb
+        rho_z = ea + (1.0 + zc) * delta * kb * ea - eb + zc * delta * kb * eb
+        rho_zz = (2.0 * delta * kb + (1.0 + zc) * (delta * kb) ** 2) * ea \
+            + (2.0 * delta * kb - zc * (delta * kb) ** 2) * eb
+        grad = grid.half_gradient_symbols
+        tables[key] = _read_only(np.stack(
+            [rho, rho_z, rho_zz, grid.half_laplacian_symbol * rho]
+            + [ik * rho for ik in grad] + [ik * rho_z for ik in grad]))
+    return tables[key]
 
 
 MAX_DELTA_HALVINGS = 6
@@ -240,22 +328,23 @@ class StripSolver:
 
     The unknowns are Phi at the z nodes 1..nz-1 (the surface value is carried
     by a z-constant lift).  The preconditioner solves, per x-Fourier mode k,
-    the z-line problem with x-averaged coefficients,
+    the z-line problem with two scalar coefficients,
 
-        (Dz2 - gamma_bar Dz - |k|^2 alpha_bar) u = r  on the interior nodes,
+        (Dz2 - |k|^2 alpha_bar) u = r  on the interior nodes,
         g1_bar Dz u = r  at the bottom,
 
-    and the variable-coefficient remainder is absorbed by GMRES.  The bottom
-    row eliminates the bottom unknown, leaving a reduced operator L_r on the
-    interior nodes and a reduced right-hand side r'.  One eigendecomposition
-    alpha_bar^{-1} L_r = V Lambda V^{-1} serves every mode:
+    with alpha_bar the mean of alpha over the interior nodes and g1_bar the
+    mean of g1 at the bottom; gamma, beta and g2 are left out, and GMRES
+    absorbs the variable-coefficient remainder.  On a flat strip this is the
+    operator itself.  Scaling the bottom datum by 1 / (g1_bar Dz[-1, -1])
+    makes the line operator the flat one, whose eigenbasis depends on
+    zpoints only and is cached (see _ZLine), so the build computes just
 
-        u_I = V (Lambda - |k|^2)^{-1} V^{-1} alpha_bar^{-1} r',
+        mode_scale = 1 / (lam + alpha_bar * (-|k|^2))
 
-    and the bottom row then gives the bottom value (matrix diagonalization,
-    Haidvogel & Zang, J. Comput. Phys. 30, 1979).  The build is one small
-    eigendecomposition and the apply two matrix products on the rfft half
-    spectrum, whether ``eig`` returns real or complex-conjugate pairs.
+    (matrix diagonalization, Haidvogel & Zang, J. Comput. Phys. 30, 1979).
+    The apply is V (scale * (W r)), two real matrix products on the real
+    and imaginary parts of the rfft half spectrum.
 
     GMRES is preconditioned on the right, so it minimizes the true residual
     b - A x over x0 + span(Z) with Z = M V.  Each iteration costs exactly one
@@ -266,8 +355,8 @@ class StripSolver:
     80 iterations and at most ceil(maxiter / 80) cycles.  When the cycles run
     out, the solve is accepted if the residual is within max(50 tol, 1e-13)
     and raises EllipticSolveError otherwise.  ``last_iterations`` counts the
-    iterations of the last real solve (of the imaginary part, for complex
-    data).
+    iterations of the last solve, summed over the real and imaginary parts
+    of complex data.
     """
 
     def __init__(self, dom: StraightenedDomain, tol: float = 1e-12,
@@ -276,28 +365,26 @@ class StripSolver:
         self.tol = tol
         self.maxiter = maxiter
         grid = dom.grid
-        Dz = dom.Dz
-        self.Dz2 = Dz @ Dz
-        x_axes = tuple(range(1, grid.dim + 1))
-        alpha_bar = dom.alpha.mean(axis=x_axes)[1:-1]
-        gamma_bar = dom.gamma.mean(axis=x_axes)[1:-1]
+        line = _z_line(dom.nz)
+        self._dz_rows = line.dz_rows
         self.g1_bottom, self.g2_bottom = dom.flux_coefficients(-1)
-        # interior rows of the z-line operator on u_1..u_{nz-1} (u_0 = 0),
-        # without the -|k|^2 alpha_bar term
-        line = self.Dz2[1:-1, 1:] - gamma_bar[:, None] * Dz[1:-1, 1:]
-        bottom = float(np.mean(self.g1_bottom)) * Dz[-1, 1:]
-        # bottom row solved for the bottom unknown: u_b = s r_b - e . u_I
-        self._bottom_scale = 1.0 / bottom[-1]
-        self._bottom_coupling = bottom[:-1] / bottom[-1]
-        # and eliminated from the interior rows: r_I -> r_I - q r_b
-        self._bottom_source = self._bottom_scale * line[:, -1]
-        reduced = line[:, :-1] - np.outer(line[:, -1], self._bottom_coupling)
-        lam, self._V = np.linalg.eig(reduced / alpha_bar[:, None])
-        self._W = np.linalg.inv(self._V) / alpha_bar[None, :]
-        self._mode_scale = 1.0 / (lam[:, None] + grid.half_laplacian_symbol.ravel())
-        # rows 1..nz-1 of d_z, then interior rows of d_zz, on u_1..u_{nz-1}
-        self._dz_rows = np.vstack([Dz[1:, 1:], self.Dz2[1:-1, 1:]])
+        alpha_bar = float(np.mean(dom.alpha[1:-1]))
+        n = dom.nz - 1
+        mode_scale = np.reciprocal(
+            line.lam[:, None] + alpha_bar * grid.half_laplacian_symbol.reshape(1, -1))
+        # one scale per real number of the half spectrum; the last row
+        # passes the scaled bottom datum through
+        scale = np.ones((n, mode_scale.shape[1], 2))
+        scale[:-1, :, 0] = scale[:-1, :, 1] = mode_scale
+        self._scale = scale.reshape(n, -1)
+        self._V = line.V
+        self._W = line.W.copy()
+        self._W[:, -1] /= float(np.mean(self.g1_bottom)) * line.Dz[-1, -1]
         self.last_iterations = 0
+        # a weak reference to the last solution and the GMRES unknown it was
+        # built from, which _forget drops once that solution is gone
+        self._solution = lambda: None
+        self._unknown: np.ndarray | None = None
 
     def _matvec(self, vec: np.ndarray) -> np.ndarray:
         dom = self.dom
@@ -329,14 +416,9 @@ class StripSolver:
     def _precond(self, vec: np.ndarray) -> np.ndarray:
         grid = self.dom.grid
         n = self.dom.nz - 1
-        rh = rfft_x(vec.reshape((n,) + grid.shape), grid).reshape(n, -1)
-        # W and V are complex when eig returns conjugate pairs; the product
-        # is then real up to rounding, and irfft keeps its Hermitian part
-        interior = rh[:-1] - np.outer(self._bottom_source, rh[-1])
-        sol = np.empty_like(rh)
-        sol[:-1] = self._V @ (self._mode_scale * (self._W @ interior))
-        sol[-1] = self._bottom_scale * rh[-1] - self._bottom_coupling @ sol[:-1]
-        return irfft_x(sol.reshape((n,) + grid.half_shape), grid).ravel()
+        rh = rfft_x(vec.reshape((n,) + grid.shape), grid).reshape(n, -1).view(float)
+        sol = self._V @ (self._scale * (self._W @ rh))
+        return irfft_x(sol.view(complex).reshape((n,) + grid.half_shape), grid).ravel()
 
     def _gmres(self, b: np.ndarray, bnorm: float,
                x: np.ndarray | None) -> tuple[np.ndarray, float, list[float]]:
@@ -404,22 +486,45 @@ class StripSolver:
 
         ``guess`` is an approximate solution on the same (nz, *grid.shape)
         tensor grid, typically Phi from a nearby surface; GMRES starts from
-        it (less the surface lift) instead of from zero.  Any other shape
-        raises ValueError.
+        it less the surface lift instead of from zero.  When ``guess`` is
+        this solver's own last result, GMRES starts from the unknown it
+        returned, since Phi = u + psi is rounded: an exact guess then takes
+        no iteration.  Any other shape raises ValueError.
         """
-        dom = self.dom
-        grid = dom.grid
-        nz, shape = dom.nz, grid.shape
-        if guess is not None and np.shape(guess) != (nz,) + shape:
-            raise ValueError(f"guess has shape {np.shape(guess)}, "
-                             f"expected {(nz,) + shape}")
-        parts = (surface, source, bottom_flux, guess)
+        nz, shape = self.dom.nz, self.dom.grid.shape
+        x0 = None
+        if guess is not None:
+            if np.shape(guess) != (nz,) + shape:
+                raise ValueError(f"guess has shape {np.shape(guess)}, "
+                                 f"expected {(nz,) + shape}")
+            if guess is self._solution():
+                x0 = self._unknown + (guess[0] - surface)
+            else:
+                x0 = guess[1:] - surface
+        parts = (surface, source, bottom_flux, x0)
         if any(np.iscomplexobj(a) for a in parts if a is not None):
             re, im = ([None if a is None else part(a) for a in parts]
                       for part in (np.real, np.imag))
-            return self.solve(*re) + 1j * self.solve(*im)
+            phi_re, u_re = self._solve_real(*re)
+            its = self.last_iterations
+            phi_im, u_im = self._solve_real(*im)
+            self.last_iterations += its
+            phi, u = phi_re + 1j * phi_im, u_re + 1j * u_im
+        else:
+            phi, u = self._solve_real(*parts)
+        self._solution, self._unknown = ref(phi, self._forget), u
+        return phi
 
-        lift = np.broadcast_to(surface, (nz,) + shape)
+    def _forget(self, solution) -> None:
+        if solution is self._solution:
+            self._unknown = None
+
+    def _solve_real(self, surface, source, bottom_flux, x0
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """Phi and the GMRES unknown u = Phi[1:] - surface, for real data."""
+        dom = self.dom
+        grid = dom.grid
+        nz, shape = dom.nz, grid.shape
         lap_surf, *grad_surf = apply_half_symbols(
             np.asarray(surface), grid,
             (grid.half_laplacian_symbol,) + grid.half_gradient_symbols)
@@ -434,18 +539,20 @@ class StripSolver:
             b[-1] += bottom_flux
         bvec = b.ravel()
         bnorm = float(np.linalg.norm(bvec))
+        phi = np.empty((nz,) + shape)
+        phi[:] = surface
         if bnorm == 0.0:
             self.last_iterations = 0
-            return np.ascontiguousarray(lift)
+            return phi, np.zeros((nz - 1,) + shape)
 
-        x0 = None if guess is None else (guess[1:] - surface).ravel()
-        sol, residual, history = self._gmres(bvec, bnorm, x0)
+        sol, residual, history = self._gmres(
+            bvec, bnorm, None if x0 is None else x0.ravel())
         self.last_iterations = len(history)
         if residual > max(50.0 * self.tol, 1e-13):
             raise EllipticSolveError(residual, history)
-        u_full = np.zeros((nz,) + shape)
-        u_full[1:] = sol.reshape((nz - 1,) + shape)
-        return u_full + lift
+        u = sol.reshape((nz - 1,) + shape)
+        phi[1:] += u
+        return phi, u
 
 
 def solve_laplace(dom: StraightenedDomain, psi: Field,

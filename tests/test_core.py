@@ -59,8 +59,7 @@ def test_traces_match_chain_rule_traces():
     state = state_of(0.05 * np.cos(x), np.sin(x))
     traces, sol = trace_velocities(state, PARAMS)
     dom = sol.dom
-    b_chain = dom.lambda1(sol.phi.values)[0]
-    v_chain = dom.lambda2(sol.phi.values)[0][0]
+    b_chain, v_chain = dom.chain_gradient(sol.phi.values)[:, 0]
     assert np.max(np.abs(traces.B.values - b_chain)) < 1e-9
     assert np.max(np.abs(traces.V[0].values - v_chain)) < 1e-9
 
@@ -213,17 +212,10 @@ def p_form_taylor(state, sol, params):
     dom = sol.dom
     grid = dom.grid
     phi = sol.phi.values
-    lam1 = dom.lambda1(phi)
-    lam2 = dom.lambda2(phi)
-    hess_sq = dom.lambda1(lam1) ** 2
-    for comp in dom.lambda2(lam1):
-        hess_sq = hess_sq + comp ** 2
-    for l2c in lam2:
-        hess_sq = hess_sq + dom.lambda1(l2c) ** 2
-        for comp in dom.lambda2(l2c):
-            hess_sq = hess_sq + comp ** 2
+    first = dom.chain_gradient(phi)
+    hess_sq = sum(np.sum(dom.chain_gradient(f) ** 2, axis=0) for f in first)
     source = StraightenedField(dom, -dom.alpha * hess_sq)
-    half_speed2 = 0.5 * (lam1 ** 2 + sum(c ** 2 for c in lam2))
+    half_speed2 = 0.5 * np.sum(first ** 2, axis=0)
     flux = Field(grid, -dom.conormal_flux(half_speed2, -1) - state.g)
     pressure = solve_laplace(dom, Field(grid, np.zeros(grid.shape)),
                              source=source, bottom_flux=flux,

@@ -8,16 +8,21 @@ from wavestrip.grid import (
     Field,
     field_from_function,
     fourier_multiplier,
+    gradient_x,
     inner_l2,
     make_grid,
     norm_l2,
     sobolev_norm,
+    spectral_gradient,
 )
 from wavestrip.dno import (
     DNOParams,
     EllipticSolveError,
     StraighteningError,
     StripSolver,
+    _STRAIGHTENING_TABLES,
+    _straightening_table,
+    _z_line,
     chebyshev_lobatto,
     dirichlet_neumann,
     dno_principal_symbol,
@@ -28,6 +33,7 @@ from wavestrip.dno import (
     straighten_adaptive,
     surface_flux,
 )
+from straighten_reference import straighten_fields
 
 GRID = make_grid([2 * np.pi], [128])
 PARAMS = DNOParams(h=1.0, zpoints=40)
@@ -96,6 +102,64 @@ def test_straighten_coefficients_against_finite_differences():
     dgz = (np.roll(drho_z, -1, axis=1) - np.roll(drho_z, 1, axis=1)) / (2 * dx)
     gamma_fd = (d2rho_z + alpha_fd * lap_x + beta_fd * dgz) / drho_z
     assert np.max(np.abs(gamma_fd[inner] - dom.gamma[inner])) < 5e-3
+
+
+@pytest.mark.parametrize("points", [(128,), (32, 24)])
+@pytest.mark.parametrize("delta", [0.1, 0.05, 0.025])
+@pytest.mark.parametrize("h", [1.0, 0.7])
+def test_straighten_matches_six_table_reference(points, delta, h):
+    grid = make_grid([2 * np.pi, 3.0][:len(points)], points)
+    eta = field_from_function(grid, lambda x, *rest: 0.1 * np.cos(x + 0.3)
+                              + 0.04 * np.sin(3 * x - sum(rest)))
+    dom = straighten(eta, h=h, delta=delta, zpoints=24)
+    ref = straighten_fields(eta, h, delta, 24)
+    # the reference differentiates real samples of size about h, so its p
+    # x-derivatives carry rounding up to eps h |k|_max^p beyond the 1e-13
+    kmax = grid.resolved_kmax()
+    orders = {"rho": 0, "drho_z": 0, "d2rho_z": 0, "alpha": 0,
+              "drho_x": 1, "beta": 1, "gamma": 2}
+    for name, want in ref.items():
+        got = getattr(dom, name)
+        if isinstance(got, tuple):
+            got, want = np.stack(got), np.stack(want)
+        tol = 1e-13 + 4.0 * np.finfo(float).eps * h * kmax ** orders[name]
+        assert np.max(np.abs(got - want)) < tol, name
+
+
+def test_straightening_table_is_shared_per_grid_delta_and_zpoints():
+    grid = make_grid([2 * np.pi], [64])
+    first = straighten(field_from_function(grid, np.cos) * 0.1, 1.0, 0.1, 24)
+    second = straighten(field_from_function(grid, np.sin) * 0.05, 0.7, 0.1, 24)
+    assert first.Dz is second.Dz
+    assert list(_STRAIGHTENING_TABLES[grid]) == [(0.1, 24)]
+    table = _straightening_table(grid, 0.1, 24)
+    assert _straightening_table(make_grid([2 * np.pi], [64]), 0.1, 24) is table
+    assert not table.flags.writeable
+    others = [_straightening_table(grid, 0.05, 24),
+              _straightening_table(grid, 0.1, 16),
+              _straightening_table(make_grid([2 * np.pi], [32]), 0.1, 24)]
+    for other in others:
+        assert other is not table
+    assert others[1].shape == (6, 16, 33)
+    assert others[2].shape == (6, 24, 17)
+
+
+@pytest.mark.parametrize("points", [(128,), (16, 12)])
+def test_chain_gradient_of_a_stack_matches_per_field_chain_rule(points):
+    grid = make_grid([2 * np.pi] * len(points), points)
+    eta = field_from_function(grid, lambda x, *rest: 0.1 * np.cos(x + sum(rest)))
+    dom = straighten(eta, h=1.0, zpoints=16)
+    stack = np.random.default_rng(2).normal(size=(3, dom.nz) + grid.shape)
+    out = dom.chain_gradient(stack)
+    assert out.shape == (1 + grid.dim,) + stack.shape
+    for j, values in enumerate(stack):
+        # Lambda_1 = (1/d_z rho) d_z, Lambda_2 = grad_x - grad_x rho Lambda_1
+        vz = np.tensordot(dom.Dz, values, axes=(1, 0)) / dom.drho_z
+        grads = gradient_x(values, grid)
+        want = [vz] + [g - rx * vz for g, rx in zip(grads, dom.drho_x)]
+        scale = max(np.max(np.abs(w)) for w in want)
+        for i, w in enumerate(want):
+            assert np.max(np.abs(out[i, j] - w)) < 1e-13 * scale
 
 
 def test_straighten_failure_carries_minimum_and_retry_succeeds():
@@ -316,16 +380,17 @@ def test_precond_inverts_flat_strip_operator(points, zpoints):
 
 
 def dense_z_line_precond(solver: StripSolver, vec: np.ndarray) -> np.ndarray:
-    """Reference: one dense nz x nz solve per x-Fourier mode, full spectrum."""
+    """Reference: one dense nz x nz solve per x-Fourier mode, full spectrum,
+    of the z-line problem with the mean of alpha over the interior nodes and
+    the mean of g1 at the bottom."""
     dom = solver.dom
     nz, shape = dom.nz, dom.grid.shape
     x_axes = tuple(range(1, dom.grid.dim + 1))
-    alpha_bar = dom.alpha.mean(axis=x_axes)
-    gamma_bar = dom.gamma.mean(axis=x_axes)
+    alpha_bar = np.mean(dom.alpha[1:-1])
     Dz = dom.Dz
     base = np.zeros((nz, nz))
     base[0, 0] = 1.0
-    base[1:-1] = Dz[1:-1] @ Dz - gamma_bar[1:-1, None] * Dz[1:-1]
+    base[1:-1] = Dz[1:-1] @ Dz
     base[-1] = float(np.mean(solver.g1_bottom)) * Dz[-1]
     rhs = np.zeros((nz,) + shape, dtype=complex)
     rhs[1:] = np.fft.fftn(vec.reshape((nz - 1,) + shape), axes=x_axes)
@@ -333,7 +398,7 @@ def dense_z_line_precond(solver: StripSolver, vec: np.ndarray) -> np.ndarray:
     sol = np.empty_like(rhs)
     for mode, k2 in enumerate((dom.grid.abs_wavenumber() ** 2).ravel()):
         mat = base.copy()
-        mat[1:-1, 1:-1] -= k2 * np.diag(alpha_bar[1:-1])
+        mat[1:-1, 1:-1] -= k2 * alpha_bar * np.eye(nz - 2)
         sol[:, mode] = np.linalg.solve(mat, rhs[:, mode])
     out = np.fft.ifftn(sol[1:].reshape((nz - 1,) + shape), axes=x_axes)
     return out.real.ravel()
@@ -350,19 +415,43 @@ def test_precond_matches_dense_z_line_solves(points):
     assert np.max(np.abs(solver._precond(v) - ref)) < 1e-10 * np.max(np.abs(ref))
 
 
-def test_precond_accepts_complex_eigenbasis():
-    # eig returns complex V when eigenvalues come in conjugate pairs; rescaling
-    # the eigenvectors by phases leaves the operator and the apply unchanged
-    eta = field_from_function(GRID, lambda x: 0.3 * np.sin(x))
-    solver = StripSolver(straighten(eta, h=1.0, delta=0.1, zpoints=24))
-    v = np.random.default_rng(3).normal(size=(solver.dom.nz - 1) * GRID.size)
-    real_basis = solver._precond(v)
-    phase = np.exp(1j * np.linspace(0.3, 2.9, solver._V.shape[1]))
-    solver._V = solver._V * phase
-    solver._W = solver._W / phase[:, None]
-    out = solver._precond(v)
-    assert out.dtype == np.float64
-    assert np.max(np.abs(out - real_basis)) < 1e-12 * np.max(np.abs(real_basis))
+def test_z_line_eigenbasis_is_real_with_negative_simple_eigenvalues():
+    for zpoints in range(4, 129):
+        line = _z_line(zpoints)
+        assert line is _z_line(zpoints)  # cached per zpoints
+        assert line.lam.dtype == line.V.dtype == line.W.dtype == np.float64
+        lam = np.sort(line.lam)
+        assert lam[-1] < 0.0
+        assert np.all(np.diff(lam) > 1e-2 * np.abs(lam[:-1]))
+        # the interior blocks of the folded V and W are the eigenvectors
+        # and their inverse, and the eigenvectors are well conditioned
+        vecs = line.V[:-1, :-1]
+        assert np.max(np.abs(vecs @ line.W[:-1, :-1] - np.eye(zpoints - 2))) < 1e-10
+        assert np.linalg.cond(vecs) < 5.0
+
+
+def sloped_surface(grid, slope):
+    """sum_i cos(x_i + 0.3) + 0.5 sin 2x, scaled to max |grad eta| = slope."""
+    meshes = grid.meshes()
+    shape = Field(grid, sum(np.cos(m + 0.3) for m in meshes)
+                  + 0.5 * np.sin(2 * meshes[0]))
+    steepest = np.max(np.sqrt(sum(g.values ** 2 for g in spectral_gradient(shape))))
+    return shape * (slope / steepest)
+
+
+@pytest.mark.parametrize("points, psi_fn, budget", [
+    ((256,), lambda x: np.sin(x) + 0.3 * np.cos(3 * x), 22),
+    ((32, 32), lambda x, y: np.sin(x) + 0.3 * np.cos(x + 2 * y), 21),
+])
+def test_steep_slope_iteration_budget(points, psi_fn, budget):
+    # the scalar averages of alpha and g1 keep the preconditioner close at
+    # slope 0.5; the flat-strip preconditioner (alpha = h^2, g1 = 1/h) needs
+    # more iterations here
+    grid = make_grid([2 * np.pi] * len(points), points)
+    eta = sloped_surface(grid, 0.5)
+    params = DNOParams(h=1.0, zpoints=24)
+    sol = dno_solve(eta, field_from_function(grid, psi_fn), params)
+    assert iterations(sol, params) <= budget
 
 
 def test_solver_build_memory_2d():
@@ -395,6 +484,24 @@ def test_guess_equal_to_solution_converges_at_once():
     exact = solver.solve(zpsi)
     assert np.max(np.abs(solver.solve(zpsi, guess=exact) - exact)) < 1e-12
     assert solver.last_iterations <= 1
+
+
+def test_complex_solve_reports_both_parts():
+    eta = field_from_function(GRID, lambda x: 0.1 * np.cos(x))
+    solver = StripSolver(straighten(eta, h=1.0, zpoints=24))
+    psi = field_from_function(GRID, lambda x: np.sin(x) + 0.3 * np.cos(3 * x)).values
+    other = np.roll(np.cos(2 * GRID.axes()[0]) + 0.2 * psi, 7)
+    solver.solve(psi)
+    re_its = solver.last_iterations
+    solver.solve(other)
+    im_its = solver.last_iterations
+    assert re_its >= 1 and im_its >= 1
+    exact = solver.solve(psi + 1j * other)
+    assert solver.last_iterations == re_its + im_its
+    # the solver's own result restarts from its exact unknown in each part
+    again = solver.solve(psi + 1j * other, guess=exact)
+    assert solver.last_iterations == 0
+    assert np.array_equal(again, exact)
 
 
 def test_guess_from_nearby_surface_saves_iterations():
