@@ -20,32 +20,35 @@ Schultz, SIAM J. Sci. Stat. Comput. 7, 1986).  Each iteration costs one
 preconditioner apply and one operator apply.  A solve returns once the true
 relative residual |b - A x| / |b| is at most tol; that residual is formed at
 the end of each cycle of at most 80 iterations, and the next cycle restarts
-from it, for at most ceil(maxiter / 80) cycles.  Every x-derivative runs on
-the rfft half spectrum of the real samples.  The preconditioner is the strip
-operator with alpha and g1 replaced by their means (alpha over the interior
-nodes, g1 at the bottom) and without gamma, beta and g2 (exact when the
-surface is flat, so that case converges in one iteration).  It is diagonal
-in the x-Fourier modes, and its z-line operators differ between modes only
-by -|k|^2 alpha_bar, so one eigendecomposition in z inverts all of them: the
-matrix-diagonalization method of Haidvogel & Zang, "The accurate solution of
-Poisson's equation by expansion in Chebyshev polynomials", J. Comput. Phys.
-30 (1979).  With the bottom datum scaled by 1 / g1_bar, that z-line operator
-is the flat one, so its real eigenbasis is computed once per zpoints and a
-solver build only forms the per-mode scales.  The bottom row is the conormal
-(physical no-flux) operator rather than the bare d_z: the straightened
-bottom z = -1 is the curved physical line y = eta - h, and only the
-conormal condition keeps the resulting Dirichlet-Neumann operator
-self-adjoint and positive.  The surface trace G(eta) psi =
-(g1 d_z - g2 . grad_x) Phi at z = 0 uses the spectral one-sided Chebyshev
-derivative.
+from it, for at most ceil(maxiter / 80) cycles.  Each solve builds its own
+solver; the solved field carries its GMRES unknown and iteration count, and
+a solve given it as guess restarts from that unknown (see StripSolver.solve).
+Every x-derivative runs on the rfft half spectrum of the real samples.  The
+preconditioner is the strip operator with alpha and g1 replaced by their
+means (alpha over the interior nodes, g1 at the bottom) and without gamma,
+beta and g2 (exact when the surface is flat, so that case converges in one
+iteration).  It is diagonal in the x-Fourier modes, and its z-line operators
+differ between modes only by -|k|^2 alpha_bar, so one eigendecomposition in
+z inverts all of them: the matrix-diagonalization method of Haidvogel &
+Zang, "The accurate solution of Poisson's equation by expansion in Chebyshev
+polynomials", J. Comput. Phys. 30 (1979).  With the bottom datum scaled by
+1 / g1_bar, that z-line operator is the flat one, so its real eigenbasis is
+computed once per zpoints and a solver build only forms the per-mode scales.
+The bottom row is the conormal (physical no-flux) operator rather than the
+bare d_z: the straightened bottom z = -1 is the curved physical line
+y = eta - h, and only the conormal condition keeps the resulting
+Dirichlet-Neumann operator self-adjoint and positive.  The surface trace
+G(eta) psi = (g1 d_z - g2 . grad_x) Phi at z = 0 uses the spectral one-sided
+Chebyshev derivative.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
-from weakref import WeakKeyDictionary, ref
+from itertools import combinations
+from weakref import WeakKeyDictionary
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -179,17 +182,10 @@ class StraightenedDomain:
     alpha: np.ndarray
     beta: tuple[np.ndarray, ...]
     gamma: np.ndarray
-    _solver: "StripSolver | None" = field(default=None, repr=False)
 
     @property
     def nz(self) -> int:
         return len(self.z)
-
-    def solver(self, tol: float = 1e-12, maxiter: int = 400) -> "StripSolver":
-        cached = self._solver
-        if cached is None or (cached.tol, cached.maxiter) != (tol, maxiter):
-            self._solver = StripSolver(self, tol=tol, maxiter=maxiter)
-        return self._solver
 
     def grad_x(self, values: np.ndarray) -> np.ndarray:
         """x-gradient of samples on the strip (or of one row), components first."""
@@ -321,6 +317,9 @@ class StraightenedField:
 
     dom: StraightenedDomain
     values: np.ndarray  # (Nz, *grid.shape); row 0 is the surface z = 0
+    # of a solve_laplace result: its GMRES unknown and iteration count
+    unknown: np.ndarray | None = None
+    iterations: int = 0
 
 
 class StripSolver:
@@ -356,7 +355,8 @@ class StripSolver:
     out, the solve is accepted if the residual is within max(50 tol, 1e-13)
     and raises EllipticSolveError otherwise.  ``last_iterations`` counts the
     iterations of the last solve, summed over the real and imaginary parts
-    of complex data.
+    of complex data, and ``unknown`` holds its GMRES unknown.  solve_laplace
+    builds a solver per solve, so nothing refers back to the domain.
     """
 
     def __init__(self, dom: StraightenedDomain, tol: float = 1e-12,
@@ -381,10 +381,7 @@ class StripSolver:
         self._W = line.W.copy()
         self._W[:, -1] /= float(np.mean(self.g1_bottom)) * line.Dz[-1, -1]
         self.last_iterations = 0
-        # a weak reference to the last solution and the GMRES unknown it was
-        # built from, which _forget drops once that solution is gone
-        self._solution = lambda: None
-        self._unknown: np.ndarray | None = None
+        self.unknown: np.ndarray | None = None
 
     def _matvec(self, vec: np.ndarray) -> np.ndarray:
         dom = self.dom
@@ -481,15 +478,17 @@ class StripSolver:
 
     def solve(self, surface: np.ndarray, source: np.ndarray | None = None,
               bottom_flux: np.ndarray | None = None,
-              guess: np.ndarray | None = None) -> np.ndarray:
+              guess: np.ndarray | None = None,
+              guess_unknown: np.ndarray | None = None) -> np.ndarray:
         """Solve the strip problem; complex data is split into parts.
 
         ``guess`` is an approximate solution on the same (nz, *grid.shape)
         tensor grid, typically Phi from a nearby surface; GMRES starts from
-        it less the surface lift instead of from zero.  When ``guess`` is
-        this solver's own last result, GMRES starts from the unknown it
-        returned, since Phi = u + psi is rounded: an exact guess then takes
-        no iteration.  Any other shape raises ValueError.
+        guess[1:] - surface instead of from zero.  Any other shape raises
+        ValueError.  Given ``guess_unknown``, the ``unknown`` of the solve
+        that returned ``guess`` (same grid and zpoints), GMRES starts from
+        guess_unknown + (guess[0] - surface) instead, free of the rounding
+        of Phi = u + psi: an exact guess then takes no iteration.
         """
         nz, shape = self.dom.nz, self.dom.grid.shape
         x0 = None
@@ -497,10 +496,8 @@ class StripSolver:
             if np.shape(guess) != (nz,) + shape:
                 raise ValueError(f"guess has shape {np.shape(guess)}, "
                                  f"expected {(nz,) + shape}")
-            if guess is self._solution():
-                x0 = self._unknown + (guess[0] - surface)
-            else:
-                x0 = guess[1:] - surface
+            x0 = (guess[1:] - surface if guess_unknown is None
+                  else guess_unknown + (guess[0] - surface))
         parts = (surface, source, bottom_flux, x0)
         if any(np.iscomplexobj(a) for a in parts if a is not None):
             re, im = ([None if a is None else part(a) for a in parts]
@@ -512,12 +509,8 @@ class StripSolver:
             phi, u = phi_re + 1j * phi_im, u_re + 1j * u_im
         else:
             phi, u = self._solve_real(*parts)
-        self._solution, self._unknown = ref(phi, self._forget), u
+        self.unknown = u
         return phi
-
-    def _forget(self, solution) -> None:
-        if solution is self._solution:
-            self._unknown = None
 
     def _solve_real(self, surface, source, bottom_flux, x0
                     ) -> tuple[np.ndarray, np.ndarray]:
@@ -564,16 +557,18 @@ def solve_laplace(dom: StraightenedDomain, psi: Field,
 
     ``bottom_flux`` prescribes the conormal data (g1 d_z - g2 . grad_x) at
     z = -1 (physical no-flux through the bottom when zero).  ``guess`` is
-    the GMRES starting point (see StripSolver.solve).
+    the GMRES starting point (see StripSolver.solve).  Each call builds its
+    own StripSolver; the result carries its GMRES unknown and iteration count.
     """
-    solver = dom.solver(tol=tol, maxiter=maxiter)
+    solver = StripSolver(dom, tol=tol, maxiter=maxiter)
     vals = solver.solve(
         psi.values,
         None if source is None else source.values,
         None if bottom_flux is None else bottom_flux.values,
         None if guess is None else guess.values,
+        None if guess is None else guess.unknown,
     )
-    return StraightenedField(dom, vals)
+    return StraightenedField(dom, vals, solver.unknown, solver.last_iterations)
 
 
 @dataclass
@@ -602,8 +597,10 @@ def dno_solve(eta: Field, psi: Field, params: DNOParams = DNOParams(),
     """Evaluate G(eta) psi, keeping the domain and potential for reuse.
 
     ``guess`` is an earlier solution, typically on a nearby surface; its
-    potential, sampled on the same (z, x) tensor grid, starts GMRES.  It
-    changes the iteration count, not the tolerance the result meets.
+    potential, sampled on the same (z, x) tensor grid, and its GMRES
+    unknown start GMRES.  It changes the iteration count, not the tolerance
+    the result meets.  ``phi`` carries the unknown and count of the solve,
+    which builds its own StripSolver.
     """
     if dom is None:
         dom = straighten_adaptive(eta, params)
@@ -619,15 +616,15 @@ def dirichlet_neumann(eta: Field, psi: Field,
 
 
 def dno_principal_symbol(eta: Field) -> ParaSymbol:
-    """lambda(x, xi) = sqrt((1+|grad eta|^2)|xi|^2 - (grad eta . xi)^2)."""
+    """lambda(x, xi) = sqrt((1+|grad eta|^2)|xi|^2 - (grad eta . xi)^2),
+    evaluated as sqrt(|xi|^2 + |grad eta ^ xi|^2) by Lagrange's identity."""
     grads = [g.values for g in spectral_gradient(eta)]
-    grad2 = sum(g ** 2 for g in grads)
 
     def eval_fn(x_meshes, xis):
         xi = [c.reshape((-1,) + (1,) * eta.grid.dim) for c in xis.T]
-        dotted = sum(g * xi_c for g, xi_c in zip(grads, xi))
-        xi2 = sum(xi_c ** 2 for xi_c in xi)
-        return np.sqrt((1.0 + grad2) * xi2 - dotted ** 2)
+        return np.sqrt(sum(xi_c ** 2 for xi_c in xi) + sum(
+            (grads[i] * xi[j] - grads[j] * xi[i]) ** 2
+            for i, j in combinations(range(len(xi)), 2)))
 
     return ParaSymbol(order=1.0, regularity=0.5, eval=eval_fn, homogeneous=True)
 

@@ -88,6 +88,7 @@ class DiagnosticsRecord:
     min_taylor: float  # nan on steps where the pressure solve is skipped
     symmetrized_energy: float
     ul_norms: dict[str, float] = dc_field(default_factory=dict)
+    # "potential_iterations": GMRES iterations of the state's potential solve
     extra: dict[str, float] = dc_field(default_factory=dict)
 
 
@@ -230,6 +231,7 @@ def _diagnose(state: SurfaceState, cfg: StepConfig, sol: DNOSolution,
         t=state.t, hamiltonian=float(ham), mass=mass(state),
         min_depth=state.min_depth(), min_taylor=float(min_taylor),
         symmetrized_energy=float(sym_energy), ul_norms=ul_norms,
+        extra={"potential_iterations": sol.phi.iterations},
     )
 
 

@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -293,6 +295,28 @@ def test_dno_principal_symbol_values():
     assert np.allclose(v, 1.0)
 
 
+@pytest.mark.parametrize("points", [(64,), (16, 12)])
+def test_principal_symbol_matches_quadratic_form(points):
+    # lambda is evaluated as sqrt(|xi|^2 + |grad eta ^ xi|^2) (Lagrange's
+    # identity); the reference is the quadratic form it replaces
+    grid = make_grid([2 * np.pi] * len(points), points)
+    rng = np.random.default_rng(len(points))
+    xis = rng.integers(-8, 9, size=(40, grid.dim)).astype(float)
+    xis = xis[np.any(xis != 0.0, axis=1)]
+    for slope in rng.uniform(0.05, 2.0, size=4):
+        eta = Field(grid, rng.normal(size=grid.shape))
+        steepest = np.max(np.sqrt(sum(g.values ** 2 for g in spectral_gradient(eta))))
+        eta = eta * (slope / steepest)
+        grads = [g.values for g in spectral_gradient(eta)]
+        xi = [c.reshape((-1,) + (1,) * grid.dim) for c in xis.T]
+        dotted = sum(g * xi_c for g, xi_c in zip(grads, xi))
+        xi2 = sum(xi_c ** 2 for xi_c in xi)
+        ref = np.sqrt((1.0 + sum(g ** 2 for g in grads)) * xi2 - dotted ** 2)
+        lam = np.broadcast_to(dno_principal_symbol(eta).eval(grid.meshes(), xis),
+                              ref.shape)
+        assert np.max(np.abs(lam - ref) / ref) < 1e-14
+
+
 def test_dno_symbol_direct_substitution_2d():
     # with grad eta = (1, 0) and xi = (0, 1): lambda = sqrt(2)
     grad2 = np.array(1.0)
@@ -354,16 +378,7 @@ def test_divergence_identity_gain():
 def test_solver_reports_iterations():
     eta = field_from_function(GRID, lambda x: 0.1 * np.cos(x))
     sol = dno_solve(eta, field_from_function(GRID, np.cos), PARAMS)
-    assert sol.dom.solver(tol=PARAMS.tol).last_iterations >= 1
-
-
-def test_solver_cache_keys_on_tol_and_maxiter():
-    eta = field_from_function(GRID, lambda x: 0.1 * np.cos(x))
-    dom = straighten(eta, h=1.0, delta=0.1, zpoints=24)
-    first = dom.solver(tol=1e-12, maxiter=400)
-    assert dom.solver(tol=1e-12, maxiter=400) is first
-    assert dom.solver(tol=1e-12, maxiter=5).maxiter == 5
-    assert dom.solver(tol=1e-10, maxiter=5).tol == 1e-10
+    assert sol.phi.iterations >= 1
 
 
 @pytest.mark.parametrize("points", [(64,), (16, 16)])
@@ -468,7 +483,7 @@ def test_solver_build_memory_2d():
 
 
 def iterations(sol, params=PARAMS):
-    return sol.dom.solver(tol=params.tol, maxiter=params.maxiter).last_iterations
+    return sol.phi.iterations
 
 
 def test_guess_equal_to_solution_converges_at_once():
@@ -478,11 +493,12 @@ def test_guess_equal_to_solution_converges_at_once():
     warm = dno_solve(eta, psi, PARAMS, dom=cold.dom, guess=cold)
     assert iterations(warm) <= 1
     assert np.max(np.abs(warm.phi.values - cold.phi.values)) < 1e-12
-    # complex data splits the guess into its parts as well
-    solver = cold.dom.solver(tol=PARAMS.tol, maxiter=PARAMS.maxiter)
+    # complex data splits the guess and its unknown into their parts as well
+    solver = StripSolver(cold.dom, tol=PARAMS.tol, maxiter=PARAMS.maxiter)
     zpsi = psi.values + 2j * np.roll(psi.values, 5)
     exact = solver.solve(zpsi)
-    assert np.max(np.abs(solver.solve(zpsi, guess=exact) - exact)) < 1e-12
+    again = solver.solve(zpsi, guess=exact, guess_unknown=solver.unknown)
+    assert np.max(np.abs(again - exact)) < 1e-12
     assert solver.last_iterations <= 1
 
 
@@ -499,9 +515,40 @@ def test_complex_solve_reports_both_parts():
     exact = solver.solve(psi + 1j * other)
     assert solver.last_iterations == re_its + im_its
     # the solver's own result restarts from its exact unknown in each part
-    again = solver.solve(psi + 1j * other, guess=exact)
+    again = solver.solve(psi + 1j * other, guess=exact, guess_unknown=solver.unknown)
     assert solver.last_iterations == 0
     assert np.array_equal(again, exact)
+
+
+def test_solved_field_restarts_exactly_on_a_domain_straightened_again():
+    # the guess carries its GMRES unknown, so an exact guess takes no
+    # iteration on a new solver of the same grid and zpoints; restarting
+    # from the rounded Phi[1:] - psi instead leaves a true residual near
+    # 1.9e-12 at zpoints 40, above tol
+    eta = field_from_function(GRID, lambda x: 0.1 * np.cos(x))
+    psi = field_from_function(GRID, lambda x: np.sin(x) + 0.3 * np.cos(3 * x))
+    first, second = (straighten(eta, PARAMS.h, PARAMS.delta, PARAMS.zpoints)
+                     for _ in range(2))
+    for data in (psi, Field(GRID, psi.values + 2j * np.roll(psi.values, 5))):
+        cold = solve_laplace(first, data, tol=PARAMS.tol, maxiter=PARAMS.maxiter)
+        warm = solve_laplace(second, data, tol=PARAMS.tol, maxiter=PARAMS.maxiter,
+                             guess=cold)
+        assert cold.iterations >= 1
+        assert warm.iterations == 0  # summed over both parts of complex data
+        assert np.max(np.abs(warm.values - cold.values)) < 1e-12
+
+
+def test_solution_domain_is_freed_without_the_cycle_collector():
+    # no solver or callback refers back to the domain once a solve returns
+    eta = field_from_function(GRID, lambda x: 0.1 * np.cos(x))
+    gc.disable()
+    try:
+        sol = dno_solve(eta, field_from_function(GRID, np.sin), PARAMS)
+        dom = weakref.ref(sol.dom)
+        del sol
+        assert dom() is None
+    finally:
+        gc.enable()
 
 
 def test_guess_from_nearby_surface_saves_iterations():

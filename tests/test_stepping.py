@@ -314,7 +314,7 @@ def test_parabolic_max_iter_bounds_rhs_calls():
 
 def test_default_rhs_warm_starts_from_previous_call():
     def its(sol):
-        return sol.dom.solver(tol=DNO.tol, maxiter=DNO.maxiter).last_iterations
+        return sol.phi.iterations
 
     state = moving_wave_state(0.1)
     rhs = stepping._default_rhs(StepConfig(dt=0.05, dno=DNO))
@@ -325,6 +325,16 @@ def test_default_rhs_warm_starts_from_previous_call():
     cold_sol = dno_solve(near.eta, near.psi, DNO)
     assert its(warm_sol) < min(cold_its, its(cold_sol))
     assert np.max(np.abs(warm_sol.gpsi.values - cold_sol.gpsi.values)) < 1e-10
+
+
+def test_records_carry_potential_solve_iterations():
+    cfg = StepConfig(dt=0.05, dno=DNO)
+    traj = integrate(moving_wave_state(0.1), 3 * cfg.dt, cfg)
+    assert traj.status == "ok"
+    counts = [rec.extra["potential_iterations"] for rec in traj.records]
+    assert len(counts) == 4
+    # the first solve is cold; every later one starts from the last RK stage
+    assert all(counts[0] > c for c in counts[1:])
 
 
 def test_integrate_default_params_runs():
