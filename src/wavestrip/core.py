@@ -56,6 +56,8 @@ class SurfaceState:
     def __post_init__(self):
         if not (self.eta.is_real and self.psi.is_real):
             raise ValueError("surface fields must be real")
+        if self.eta.grid != self.psi.grid:
+            raise ValueError("eta and psi must be sampled on one grid")
 
     def min_depth(self) -> float:
         return float(np.min(self.eta.values) + self.h)

@@ -20,9 +20,11 @@ Schultz, SIAM J. Sci. Stat. Comput. 7, 1986).  Each iteration costs one
 preconditioner apply and one operator apply.  A solve returns once the true
 relative residual |b - A x| / |b| is at most tol; that residual is formed at
 the end of each cycle of at most 80 iterations, and the next cycle restarts
-from it, for at most ceil(maxiter / 80) cycles.  Each solve builds its own
-solver; the solved field carries its GMRES unknown and iteration count, and
-a solve given it as guess restarts from that unknown (see StripSolver.solve).
+from it, for at most ceil(maxiter / 80) cycles.  A strip solve takes real
+data only (G(eta) is a real operator; dirichlet_neumann solves the parts of
+complex psi apart) and returns the solved field with its GMRES unknown and
+iteration count.  Each solve builds its own solver, and one given a solved
+field as guess restarts from that unknown (see StripSolver.solve).
 Every x-derivative runs on the rfft half spectrum of the real samples.  The
 preconditioner is the strip operator with alpha and g1 replaced by their
 means (alpha over the interior nodes, g1 at the bottom) and without gamma,
@@ -58,7 +60,7 @@ from wavestrip.grid import (
     PeriodicGrid,
     _read_only,
     apply_half_symbols,
-    dealiased_product,
+    dealias,
     gradient_x,
     irfft_x,
     rfft_x,
@@ -187,10 +189,6 @@ class StraightenedDomain:
     def nz(self) -> int:
         return len(self.z)
 
-    def grad_x(self, values: np.ndarray) -> np.ndarray:
-        """x-gradient of samples on the strip (or of one row), components first."""
-        return gradient_x(values, self.grid)
-
     def chain_gradient(self, values: np.ndarray) -> np.ndarray:
         """Chain-rule gradient (Lambda_1 v, *Lambda_2 v), stacked first.
 
@@ -201,7 +199,7 @@ class StraightenedDomain:
         """
         flat = values.reshape(values.shape[:-self.grid.dim] + (-1,))
         vz = (self.Dz @ flat).reshape(values.shape) / self.drho_z
-        grads = self.grad_x(values)
+        grads = gradient_x(values, self.grid)
         return np.stack([vz] + [g - rx * vz for g, rx in zip(grads, self.drho_x)])
 
     def flux_coefficients(self, row: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -214,7 +212,7 @@ class StraightenedDomain:
         """(Lambda_1 - grad rho . Lambda_2) values at a z row (no dealiasing)."""
         g1, g2 = self.flux_coefficients(row)
         out = g1 * np.tensordot(self.Dz[row], values, axes=1)
-        for g2c, gc in zip(g2, self.grad_x(values[row])):
+        for g2c, gc in zip(g2, gradient_x(values[row], self.grid)):
             out = out - g2c * gc
         return out
 
@@ -317,7 +315,7 @@ class StraightenedField:
 
     dom: StraightenedDomain
     values: np.ndarray  # (Nz, *grid.shape); row 0 is the surface z = 0
-    # of a solve_laplace result: its GMRES unknown and iteration count
+    # of a solved field: its GMRES unknown and iteration count
     unknown: np.ndarray | None = None
     iterations: int = 0
 
@@ -353,10 +351,10 @@ class StripSolver:
     (relative to |b|) and otherwise restarts from it, with cycles of at most
     80 iterations and at most ceil(maxiter / 80) cycles.  When the cycles run
     out, the solve is accepted if the residual is within max(50 tol, 1e-13)
-    and raises EllipticSolveError otherwise.  ``last_iterations`` counts the
-    iterations of the last solve, summed over the real and imaginary parts
-    of complex data, and ``unknown`` holds its GMRES unknown.  solve_laplace
-    builds a solver per solve, so nothing refers back to the domain.
+    and raises EllipticSolveError otherwise.  The data is real; ``solve``
+    returns the solved field, and ``last_iterations`` also counts the
+    iterations of the last solve, failed or not.  solve_laplace builds a
+    solver per solve, so nothing refers back to the domain.
     """
 
     def __init__(self, dom: StraightenedDomain, tol: float = 1e-12,
@@ -381,7 +379,6 @@ class StripSolver:
         self._W = line.W.copy()
         self._W[:, -1] /= float(np.mean(self.g1_bottom)) * line.Dz[-1, -1]
         self.last_iterations = 0
-        self.unknown: np.ndarray | None = None
 
     def _matvec(self, vec: np.ndarray) -> np.ndarray:
         dom = self.dom
@@ -478,46 +475,29 @@ class StripSolver:
 
     def solve(self, surface: np.ndarray, source: np.ndarray | None = None,
               bottom_flux: np.ndarray | None = None,
-              guess: np.ndarray | None = None,
-              guess_unknown: np.ndarray | None = None) -> np.ndarray:
-        """Solve the strip problem; complex data is split into parts.
+              guess: StraightenedField | None = None) -> StraightenedField:
+        """Solve the strip problem for real data; return the solved field.
 
-        ``guess`` is an approximate solution on the same (nz, *grid.shape)
-        tensor grid, typically Phi from a nearby surface; GMRES starts from
-        guess[1:] - surface instead of from zero.  Any other shape raises
-        ValueError.  Given ``guess_unknown``, the ``unknown`` of the solve
-        that returned ``guess`` (same grid and zpoints), GMRES starts from
-        guess_unknown + (guess[0] - surface) instead, free of the rounding
-        of Phi = u + psi: an exact guess then takes no iteration.
+        The result carries the GMRES unknown u = Phi[1:] - surface and the
+        iteration count.  ``guess`` is such a solved field, typically from a
+        nearby surface, on any domain of the same grid and zpoints; GMRES
+        starts from guess.unknown + (guess.values[0] - surface) instead of
+        from zero, free of the rounding of Phi = u + psi, so an exact guess
+        takes no iteration.  A guess without an unknown of shape
+        (nz - 1, *grid.shape), or complex data, raises ValueError.
         """
-        nz, shape = self.dom.nz, self.dom.grid.shape
-        x0 = None
-        if guess is not None:
-            if np.shape(guess) != (nz,) + shape:
-                raise ValueError(f"guess has shape {np.shape(guess)}, "
-                                 f"expected {(nz,) + shape}")
-            x0 = (guess[1:] - surface if guess_unknown is None
-                  else guess_unknown + (guess[0] - surface))
-        parts = (surface, source, bottom_flux, x0)
-        if any(np.iscomplexobj(a) for a in parts if a is not None):
-            re, im = ([None if a is None else part(a) for a in parts]
-                      for part in (np.real, np.imag))
-            phi_re, u_re = self._solve_real(*re)
-            its = self.last_iterations
-            phi_im, u_im = self._solve_real(*im)
-            self.last_iterations += its
-            phi, u = phi_re + 1j * phi_im, u_re + 1j * u_im
-        else:
-            phi, u = self._solve_real(*parts)
-        self.unknown = u
-        return phi
-
-    def _solve_real(self, surface, source, bottom_flux, x0
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        """Phi and the GMRES unknown u = Phi[1:] - surface, for real data."""
         dom = self.dom
         grid = dom.grid
         nz, shape = dom.nz, grid.shape
+        if any(np.iscomplexobj(a) for a in (surface, source, bottom_flux)):
+            raise ValueError("the strip solve takes real data; "
+                             "solve the real and imaginary parts apart")
+        x0 = None
+        if guess is not None:
+            if np.shape(guess.unknown) != (nz - 1,) + shape:
+                raise ValueError(f"guess has shape {np.shape(guess.unknown)} of GMRES "
+                                 f"unknown, expected {(nz - 1,) + shape}")
+            x0 = (guess.unknown + (guess.values[0] - surface)).ravel()
         lap_surf, *grad_surf = apply_half_symbols(
             np.asarray(surface), grid,
             (grid.half_laplacian_symbol,) + grid.half_gradient_symbols)
@@ -536,16 +516,15 @@ class StripSolver:
         phi[:] = surface
         if bnorm == 0.0:
             self.last_iterations = 0
-            return phi, np.zeros((nz - 1,) + shape)
+            return StraightenedField(dom, phi, np.zeros((nz - 1,) + shape), 0)
 
-        sol, residual, history = self._gmres(
-            bvec, bnorm, None if x0 is None else x0.ravel())
+        sol, residual, history = self._gmres(bvec, bnorm, x0)
         self.last_iterations = len(history)
         if residual > max(50.0 * self.tol, 1e-13):
             raise EllipticSolveError(residual, history)
         u = sol.reshape((nz - 1,) + shape)
         phi[1:] += u
-        return phi, u
+        return StraightenedField(dom, phi, u, len(history))
 
 
 def solve_laplace(dom: StraightenedDomain, psi: Field,
@@ -553,22 +532,20 @@ def solve_laplace(dom: StraightenedDomain, psi: Field,
                   bottom_flux: Field | None = None,
                   tol: float = 1e-12, maxiter: int = 400,
                   guess: StraightenedField | None = None) -> StraightenedField:
-    """Solve the straightened strip problem with surface trace psi.
+    """Solve the straightened strip problem with real surface trace psi.
 
     ``bottom_flux`` prescribes the conormal data (g1 d_z - g2 . grad_x) at
-    z = -1 (physical no-flux through the bottom when zero).  ``guess`` is
-    the GMRES starting point (see StripSolver.solve).  Each call builds its
-    own StripSolver; the result carries its GMRES unknown and iteration count.
+    z = -1 (physical no-flux through the bottom when zero).  ``guess`` is a
+    solved field whose unknown starts GMRES (see StripSolver.solve).  Each
+    call builds its own StripSolver and returns the field it solved, with
+    its GMRES unknown and iteration count.
     """
-    solver = StripSolver(dom, tol=tol, maxiter=maxiter)
-    vals = solver.solve(
+    return StripSolver(dom, tol=tol, maxiter=maxiter).solve(
         psi.values,
         None if source is None else source.values,
         None if bottom_flux is None else bottom_flux.values,
-        None if guess is None else guess.values,
-        None if guess is None else guess.unknown,
+        guess,
     )
-    return StraightenedField(dom, vals, solver.unknown, solver.last_iterations)
 
 
 @dataclass
@@ -581,14 +558,10 @@ class DNOSolution:
 
 
 def surface_flux(dom: StraightenedDomain, phi: StraightenedField) -> Field:
-    """(g1 d_z - g2 . grad_x) phi at z = 0, g1 = (1+|grad rho|^2)/d_z rho."""
-    grid = dom.grid
-    phiz0 = np.tensordot(dom.Dz[0], phi.values, axes=1)
-    g1, g2 = dom.flux_coefficients(0)
-    out = dealiased_product(Field(grid, g1), Field(grid, phiz0))
-    for g2c, gc in zip(g2, dom.grad_x(phi.values[0])):
-        out = out - dealiased_product(Field(grid, g2c), Field(grid, gc))
-    return out
+    """(g1 d_z - g2 . grad_x) phi at z = 0, g1 = (1+|grad rho|^2)/d_z rho,
+    dealiased.  The 2/3 rule is linear, so truncating the conormal flux once
+    equals summing the dealiased products g1 d_z phi and g2 . grad_x phi."""
+    return dealias(Field(dom.grid, dom.conormal_flux(phi.values, 0)))
 
 
 def dno_solve(eta: Field, psi: Field, params: DNOParams = DNOParams(),
@@ -596,11 +569,11 @@ def dno_solve(eta: Field, psi: Field, params: DNOParams = DNOParams(),
               guess: DNOSolution | None = None) -> DNOSolution:
     """Evaluate G(eta) psi, keeping the domain and potential for reuse.
 
-    ``guess`` is an earlier solution, typically on a nearby surface; its
-    potential, sampled on the same (z, x) tensor grid, and its GMRES
-    unknown start GMRES.  It changes the iteration count, not the tolerance
-    the result meets.  ``phi`` carries the unknown and count of the solve,
-    which builds its own StripSolver.
+    ``psi`` is real.  ``guess`` is an earlier solution, typically on a
+    nearby surface with the same grid and zpoints; its potential's GMRES
+    unknown starts GMRES (see StripSolver.solve).  It changes the iteration
+    count, not the tolerance the result meets.  ``phi`` is the solved field,
+    with its unknown and count.
     """
     if dom is None:
         dom = straighten_adaptive(eta, params)
@@ -611,8 +584,16 @@ def dno_solve(eta: Field, psi: Field, params: DNOParams = DNOParams(),
 
 def dirichlet_neumann(eta: Field, psi: Field,
                       params: DNOParams = DNOParams()) -> Field:
-    """G(eta) psi."""
-    return dno_solve(eta, psi, params).gpsi
+    """G(eta) psi.
+
+    The strip solve takes real data, and G(eta) is real, so a complex psi
+    is solved in its real and imaginary parts on one straightened domain.
+    """
+    if psi.is_real:
+        return dno_solve(eta, psi, params).gpsi
+    real = dno_solve(eta, Field(psi.grid, psi.values.real), params)
+    imag = dno_solve(eta, Field(psi.grid, psi.values.imag), params, dom=real.dom)
+    return Field(psi.grid, real.gpsi.values + 1j * imag.gpsi.values)
 
 
 def dno_principal_symbol(eta: Field) -> ParaSymbol:

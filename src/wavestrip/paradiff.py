@@ -83,8 +83,10 @@ class ParaSymbol:
         if self.homogeneous and np.any(np.all(xis == 0.0, axis=1)):
             raise SymbolDomainError("homogeneous symbol evaluated at xi = 0")
         vals = np.broadcast_to(self.eval(grid.meshes(), xis), (len(xis),) + grid.shape)
-        if not np.all(np.isfinite(vals)):
-            raise SymbolDomainError(f"symbol not finite on the wavenumbers {xis.tolist()}")
+        finite = np.isfinite(vals).reshape(len(xis), -1).all(axis=1)
+        if not finite.all():
+            raise SymbolDomainError(
+                f"symbol not finite on the wavenumbers {xis[~finite].tolist()}")
         return vals
 
     def values(self, grid: PeriodicGrid, xi) -> np.ndarray:
@@ -133,11 +135,11 @@ def _symbol_table(sym: ParaSymbol, grid: PeriodicGrid, xis: np.ndarray) -> np.nd
     """Values a(x, xi) for the rows xi of ``xis`` (shape (m, d)), stacked first.
 
     Rows at xi = 0 of a homogeneous symbol, where it is undefined, stay zero
-    and are never evaluated.
+    and are never evaluated; the others are checked like ParaSymbol.values.
     """
     table = np.zeros((len(xis),) + grid.shape, dtype=complex)
     rows = np.any(xis != 0.0, axis=1) if sym.homogeneous else slice(None)
-    table[rows] = sym.eval(grid.meshes(), xis[rows])
+    table[rows] = sym._rows(grid, xis[rows])
     return table
 
 

@@ -56,9 +56,9 @@ class StepConfig:
     fixed_point_max_iter: int = 40  # bounds the RHS calls of a Duhamel step
     dno: DNOParams = DNOParams()
     # depth and energy are recorded every step; the Taylor coefficient costs
-    # a pressure solve, so it is recorded every taylor_every steps or never
-    monitor_taylor: bool = True
-    taylor_every: int = 5
+    # a pressure solve, so it is recorded every taylor_every steps, or never
+    # when taylor_every is None
+    taylor_every: int | None = 5
     ul_norm_s: tuple[float, ...] = ()
     symmetrized_s: float | None = None
 
@@ -69,7 +69,8 @@ class StepConfig:
             raise ValueError("epsilon must be nonnegative")
         if self.fixed_point_tol <= 0:
             raise ValueError("fixed_point_tol must be positive")
-        if self.fixed_point_max_iter < 1 or self.taylor_every < 1:
+        if self.fixed_point_max_iter < 1 or (self.taylor_every is not None
+                                             and self.taylor_every < 1):
             raise ValueError("fixed_point_max_iter and taylor_every must be >= 1")
         if self.scheme not in ("rk4", "parabolic-duhamel"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
@@ -208,7 +209,7 @@ def advance(state: SurfaceState, cfg: StepConfig, rhs=None, k1=None) -> SurfaceS
 def _diagnose(state: SurfaceState, cfg: StepConfig, sol: DNOSolution,
               step_index: int, pou: PartitionOfUnity | None) -> DiagnosticsRecord:
     ham = hamiltonian(state, cfg.dno, sol=sol)
-    monitored = cfg.monitor_taylor and step_index % cfg.taylor_every == 0
+    monitored = cfg.taylor_every is not None and step_index % cfg.taylor_every == 0
     min_taylor = np.nan
     if monitored or cfg.symmetrized_s is not None:
         # one pressure solve serves the monitor and the symmetrizer

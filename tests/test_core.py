@@ -37,6 +37,14 @@ def state_of(eta_vals, psi_vals, g=1.0, h=1.0):
                         t=0.0, g=g, h=h)
 
 
+def test_state_rejects_eta_and_psi_on_different_grids():
+    # equal point counts on different periods: ww_rhs would otherwise run,
+    # returning tendencies on eta's grid
+    short, long = make_grid([2 * np.pi], [64]), make_grid([4 * np.pi], [64])
+    with pytest.raises(ValueError, match="one grid"):
+        SurfaceState(eta=Field(short, np.zeros(64)), psi=Field(long, np.zeros(64)))
+
+
 def test_traces_flat_surface():
     psi = field_from_function(GRID, lambda x: np.sin(2 * x))
     state = state_of(np.zeros(GRID.shape), psi.values)

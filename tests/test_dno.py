@@ -8,6 +8,7 @@ import pytest
 
 from wavestrip.grid import (
     Field,
+    dealiased_product,
     field_from_function,
     fourier_multiplier,
     gradient_x,
@@ -20,6 +21,7 @@ from wavestrip.grid import (
 from wavestrip.dno import (
     DNOParams,
     EllipticSolveError,
+    StraightenedField,
     StraighteningError,
     StripSolver,
     _STRAIGHTENING_TABLES,
@@ -493,31 +495,6 @@ def test_guess_equal_to_solution_converges_at_once():
     warm = dno_solve(eta, psi, PARAMS, dom=cold.dom, guess=cold)
     assert iterations(warm) <= 1
     assert np.max(np.abs(warm.phi.values - cold.phi.values)) < 1e-12
-    # complex data splits the guess and its unknown into their parts as well
-    solver = StripSolver(cold.dom, tol=PARAMS.tol, maxiter=PARAMS.maxiter)
-    zpsi = psi.values + 2j * np.roll(psi.values, 5)
-    exact = solver.solve(zpsi)
-    again = solver.solve(zpsi, guess=exact, guess_unknown=solver.unknown)
-    assert np.max(np.abs(again - exact)) < 1e-12
-    assert solver.last_iterations <= 1
-
-
-def test_complex_solve_reports_both_parts():
-    eta = field_from_function(GRID, lambda x: 0.1 * np.cos(x))
-    solver = StripSolver(straighten(eta, h=1.0, zpoints=24))
-    psi = field_from_function(GRID, lambda x: np.sin(x) + 0.3 * np.cos(3 * x)).values
-    other = np.roll(np.cos(2 * GRID.axes()[0]) + 0.2 * psi, 7)
-    solver.solve(psi)
-    re_its = solver.last_iterations
-    solver.solve(other)
-    im_its = solver.last_iterations
-    assert re_its >= 1 and im_its >= 1
-    exact = solver.solve(psi + 1j * other)
-    assert solver.last_iterations == re_its + im_its
-    # the solver's own result restarts from its exact unknown in each part
-    again = solver.solve(psi + 1j * other, guess=exact, guess_unknown=solver.unknown)
-    assert solver.last_iterations == 0
-    assert np.array_equal(again, exact)
 
 
 def test_solved_field_restarts_exactly_on_a_domain_straightened_again():
@@ -529,13 +506,12 @@ def test_solved_field_restarts_exactly_on_a_domain_straightened_again():
     psi = field_from_function(GRID, lambda x: np.sin(x) + 0.3 * np.cos(3 * x))
     first, second = (straighten(eta, PARAMS.h, PARAMS.delta, PARAMS.zpoints)
                      for _ in range(2))
-    for data in (psi, Field(GRID, psi.values + 2j * np.roll(psi.values, 5))):
-        cold = solve_laplace(first, data, tol=PARAMS.tol, maxiter=PARAMS.maxiter)
-        warm = solve_laplace(second, data, tol=PARAMS.tol, maxiter=PARAMS.maxiter,
-                             guess=cold)
-        assert cold.iterations >= 1
-        assert warm.iterations == 0  # summed over both parts of complex data
-        assert np.max(np.abs(warm.values - cold.values)) < 1e-12
+    cold = solve_laplace(first, psi, tol=PARAMS.tol, maxiter=PARAMS.maxiter)
+    warm = solve_laplace(second, psi, tol=PARAMS.tol, maxiter=PARAMS.maxiter,
+                         guess=cold)
+    assert cold.iterations >= 1
+    assert warm.iterations == 0
+    assert np.max(np.abs(warm.values - cold.values)) < 1e-12
 
 
 def test_solution_domain_is_freed_without_the_cycle_collector():
@@ -570,9 +546,57 @@ def test_guess_of_wrong_shape_raises():
     other = dno_solve(eta, psi, DNOParams(h=1.0, zpoints=24))
     with pytest.raises(ValueError, match="guess has shape"):
         dno_solve(eta, psi, PARAMS, guess=other)
-    solver = StripSolver(straighten(eta, h=1.0, zpoints=24))
+    dom = straighten(eta, h=1.0, zpoints=24)
+    solver = StripSolver(dom)
     with pytest.raises(ValueError, match="guess has shape"):
-        solver.solve(psi.values, guess=np.zeros((24, 64)))
+        solver.solve(psi.values, guess=StraightenedField(
+            dom, np.zeros((24, 64)), np.zeros((23, 64))))
+    # only a solved field carries the unknown GMRES restarts from
+    with pytest.raises(ValueError, match="guess has shape"):
+        solver.solve(psi.values, guess=StraightenedField(dom, np.zeros((24,) + GRID.shape)))
+
+
+def test_strip_solve_takes_real_data_and_dno_splits_complex_psi():
+    eta = field_from_function(GRID, lambda x: 0.1 * np.cos(x))
+    psi = field_from_function(GRID, lambda x: np.sin(x) + 0.3 * np.cos(3 * x))
+    other = Field(GRID, np.roll(psi.values, 5))
+    both = Field(GRID, psi.values + 2j * other.values)
+    with pytest.raises(ValueError, match="real data"):
+        dno_solve(eta, both, PARAMS)
+    dom = straighten(eta, PARAMS.h, PARAMS.delta, PARAMS.zpoints)
+    for source, flux in ((np.ones((PARAMS.zpoints,) + GRID.shape, dtype=complex), None),
+                         (None, 1j * np.ones(GRID.shape))):
+        with pytest.raises(ValueError, match="real data"):
+            StripSolver(dom).solve(psi.values, source, flux)
+    g = dirichlet_neumann(eta, both, PARAMS)
+    expected = (dirichlet_neumann(eta, psi, PARAMS).values
+                + 2j * dirichlet_neumann(eta, other, PARAMS).values)
+    assert np.max(np.abs(g.values - expected)) < 1e-12 * np.max(np.abs(expected))
+
+
+def per_product_surface_flux(dom, phi):
+    """The conormal flux at z = 0 as a sum of dealiased products."""
+    grid = dom.grid
+    phiz0 = np.tensordot(dom.Dz[0], phi.values, axes=1)
+    g1, g2 = dom.flux_coefficients(0)
+    out = dealiased_product(Field(grid, g1), Field(grid, phiz0))
+    for g2c, gc in zip(g2, gradient_x(phi.values[0], grid)):
+        out = out - dealiased_product(Field(grid, g2c), Field(grid, gc))
+    return out
+
+
+@pytest.mark.parametrize("points", [(128,), (32, 32)], ids=["1d", "2d"])
+def test_surface_flux_matches_sum_of_dealiased_products(points):
+    # the 2/3 rule is linear: dealiasing the flux once equals the sum of the
+    # dealiased products
+    grid = make_grid([2 * np.pi] * len(points), points)
+    eta = field_from_function(grid, lambda x, *rest: 0.1 * np.cos(x)
+                              + 0.05 * np.sin(x + 2 * sum(rest)))
+    psi = field_from_function(grid, lambda x, *rest: np.sin(x) + 0.3 * np.cos(3 * x + sum(rest)))
+    sol = dno_solve(eta, psi, DNOParams(h=1.0, zpoints=24))
+    ref = per_product_surface_flux(sol.dom, sol.phi).values
+    out = surface_flux(sol.dom, sol.phi).values
+    assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def count_calls(solver: StripSolver, name: str) -> list[np.ndarray]:
@@ -636,32 +660,24 @@ def test_solve_matches_dense_reference_within_call_budget(points, zpoints):
         del solver._precond, solver._matvec
         return out, len(precond_calls), len(matvec_calls)
 
-    for dtype in (float, complex):
-        source = rng.normal(size=(nz,) + shape).astype(dtype)
-        flux = rng.normal(size=shape).astype(dtype)
-        if dtype is complex:
-            source += 1j * rng.normal(size=source.shape)
-            flux += 1j * rng.normal(size=shape)
-        b = strip_rhs(source, flux)
-        exact = np.zeros((nz,) + shape, dtype=dtype)
-        exact[1:] = np.linalg.solve(A, b).reshape((nz - 1,) + shape)
-        near = exact + 1e-4 * rng.normal(size=exact.shape)
-        near[0] = 0.0
-        for guess in (None, near):
-            out, precond_calls, matvec_calls = counted_solve(source, flux, guess)
-            assert np.max(np.abs(out - exact)) < 1e-10 * np.max(np.abs(exact))
-            # a real solve returns at a true residual within tol, paying one
-            # preconditioner apply per iteration and at most two more matvecs
-            # (initial and final residual); complex data runs two real solves
-            its = []
-            for part in (np.real, np.imag) if dtype is complex else (np.asarray,):
-                part_out = solver.solve(zero_surface, part(source), part(flux),
-                                        None if guess is None else part(guess))
-                its.append(solver.last_iterations)
-                res = np.linalg.norm(A @ part_out[1:].ravel() - part(b))
-                assert res <= solver.tol * np.linalg.norm(part(b))
-            assert precond_calls == sum(its) >= len(its)
-            assert matvec_calls <= sum(its) + 2 * len(its)
+    source = rng.normal(size=(nz,) + shape)
+    flux = rng.normal(size=shape)
+    b = strip_rhs(source, flux)
+    exact = np.zeros((nz,) + shape)
+    exact[1:] = np.linalg.solve(A, b).reshape((nz - 1,) + shape)
+    near = exact + 1e-4 * rng.normal(size=exact.shape)
+    near[0] = 0.0
+    # the surface is 0, so the unknown of the near guess is near[1:]
+    for guess in (None, StraightenedField(solver.dom, near, near[1:])):
+        out, precond_calls, matvec_calls = counted_solve(source, flux, guess)
+        assert np.max(np.abs(out.values - exact)) < 1e-10 * np.max(np.abs(exact))
+        # the solve returns at a true residual within tol, paying one
+        # preconditioner apply per iteration and at most two more matvecs
+        # (initial and final residual)
+        res = np.linalg.norm(A @ out.unknown.ravel() - b)
+        assert res <= solver.tol * np.linalg.norm(b)
+        assert precond_calls == out.iterations == solver.last_iterations >= 1
+        assert matvec_calls <= out.iterations + 2
     out, precond_calls, matvec_calls = counted_solve(None, None, None)
-    assert np.array_equal(out, np.zeros((nz,) + shape))
+    assert np.array_equal(out.values, np.zeros((nz,) + shape))
     assert precond_calls == matvec_calls == solver.last_iterations == 0

@@ -370,6 +370,24 @@ def test_homogeneous_symbol_rejects_origin():
         sym.values(GRID, np.zeros(1))
 
 
+def test_symbol_pole_raises_in_every_tabulation():
+    # a pole at |xi| = 5 on the 1-D lattice: the paradifferential apply and
+    # the seminorm tabulate the symbol and must name the two bad wavenumbers
+    grid = make_grid([2 * np.pi], [64])
+
+    def pole(xis):
+        with np.errstate(divide="ignore"):
+            return 1.0 / (np.sum(xis ** 2, axis=-1) - 25.0)
+
+    sym = x_independent_symbol(-2.0, pole)
+    u = Field(grid, np.random.default_rng(3).normal(size=grid.shape))
+    bad = r"wavenumbers \[\[-?5\.0\], \[-?5\.0\]\]$"
+    with pytest.raises(SymbolDomainError, match=bad):
+        paradiff_apply(sym, u, CUT)
+    with pytest.raises(SymbolDomainError, match=bad):
+        symbol_seminorm(sym, grid)
+
+
 def test_symbol_homogeneity_defect_small():
     from wavestrip.dno import dno_principal_symbol
 

@@ -92,7 +92,7 @@ def test_rk4_linear_wave_period_return():
     k, eps = 1, 1e-7  # linear regime: quadratic bound waves stay below 1e-6 relative
     omega = np.sqrt(np.tanh(1.0))
     period = 2 * np.pi / omega
-    cfg = StepConfig(dt=period / 200, dno=DNO, monitor_taylor=False)
+    cfg = StepConfig(dt=period / 200, dno=DNO, taylor_every=None)
     state = linear_wave_state(eps, k)
     traj = integrate(state, period, cfg, keep_states=False)
     assert traj.status == "ok"
@@ -108,7 +108,7 @@ def test_rk4_self_convergence_order():
     T = 0.8
     outs = {}
     for n in (10, 20, 40):
-        cfg = StepConfig(dt=T / n, dno=DNO, monitor_taylor=False)
+        cfg = StepConfig(dt=T / n, dno=DNO, taylor_every=None)
         traj = integrate(state, T, cfg, keep_states=False)
         outs[n] = traj.final()
     e1 = norm_l2(outs[10].eta - outs[40].eta) + norm_l2(outs[10].psi - outs[40].psi)
@@ -122,14 +122,14 @@ def test_time_reversal_via_psi_negation():
         eta=field_from_function(GRID, lambda x: 0.02 * np.cos(x)),
         psi=field_from_function(GRID, lambda x: 0.02 * np.sin(2 * x)))
     T, n = 0.6, 60
-    cfg = StepConfig(dt=T / n, dno=DNO, monitor_taylor=False)
+    cfg = StepConfig(dt=T / n, dno=DNO, taylor_every=None)
     fwd = integrate(state, T, cfg, keep_states=False).final()
     mirrored = SurfaceState(eta=fwd.eta, psi=-1.0 * fwd.psi, t=0.0,
                             g=fwd.g, h=fwd.h)
     back = integrate(mirrored, T, cfg, keep_states=False).final()
     err = norm_l2(back.eta - state.eta) + norm_l2(back.psi + state.psi)
     # bounded by a small multiple of the forward discretization error
-    cfg2 = StepConfig(dt=T / (2 * n), dno=DNO, monitor_taylor=False)
+    cfg2 = StepConfig(dt=T / (2 * n), dno=DNO, taylor_every=None)
     ref = integrate(state, T, cfg2, keep_states=False).final()
     fwd_err = norm_l2(fwd.eta - ref.eta) + norm_l2(fwd.psi - ref.psi)
     assert err <= 10 * max(fwd_err, 1e-12)
@@ -140,7 +140,7 @@ def test_parabolic_dissipates_energy():
         eta=field_from_function(GRID, lambda x: 0.02 * np.cos(x)),
         psi=field_from_function(GRID, lambda x: 0.02 * np.sin(x)))
     cfg = StepConfig(dt=0.02, epsilon=0.05, scheme="parabolic-duhamel", dno=DNO,
-                     monitor_taylor=False)
+                     taylor_every=None)
     traj = integrate(state, 0.4, cfg, keep_states=False)
     energies = [r.hamiltonian for r in traj.records]
     diffs = np.diff(energies)
@@ -170,7 +170,7 @@ def test_integrate_depth_monitor_aborts_immediately():
 
 def test_integrate_sink_receives_records():
     seen = []
-    cfg = StepConfig(dt=0.1, dno=DNO, monitor_taylor=False)
+    cfg = StepConfig(dt=0.1, dno=DNO, taylor_every=None)
     integrate(rest_state(), 0.3, cfg, sink=seen.append)
     assert len(seen) == 4
     assert seen[0].t == 0.0
@@ -181,12 +181,12 @@ def test_vanishing_viscosity_rate():
         eta=field_from_function(GRID, lambda x: 0.02 * np.cos(x)),
         psi=field_from_function(GRID, lambda x: 0.02 * np.sin(x)))
     T = 0.4
-    ref = integrate(state, T, StepConfig(dt=0.02, dno=DNO, monitor_taylor=False),
+    ref = integrate(state, T, StepConfig(dt=0.02, dno=DNO, taylor_every=None),
                     keep_states=False).final()
     dists, epses = [], [1e-2, 5e-3, 2.5e-3]
     for eps in epses:
         cfg = StepConfig(dt=0.02, epsilon=eps, scheme="parabolic-duhamel",
-                         dno=DNO, monitor_taylor=False)
+                         dno=DNO, taylor_every=None)
         out = integrate(state, T, cfg, keep_states=False).final()
         dists.append(norm_l2(out.eta - ref.eta) + norm_l2(out.psi - ref.psi))
     slope = np.polyfit(np.log(epses), np.log(dists), 1)[0]
@@ -194,16 +194,17 @@ def test_vanishing_viscosity_rate():
 
 
 def test_ul_norm_diagnostics_recorded():
-    cfg = StepConfig(dt=0.05, dno=DNO, ul_norm_s=(1.0,), monitor_taylor=False)
+    cfg = StepConfig(dt=0.05, dno=DNO, ul_norm_s=(1.0,), taylor_every=None)
     traj = integrate(linear_wave_state(0.01), 0.1, cfg)
     assert "eta_H1.0" in traj.records[0].ul_norms
     assert traj.records[0].ul_norms["eta_H1.0"] > 0
+    # taylor_every=None records no Taylor coefficient
+    assert all(np.isnan(r.min_taylor) for r in traj.records)
 
 
 def test_diagnose_runs_one_pressure_solve(monkeypatch):
     state = linear_wave_state(eps=0.02)
-    cfg = StepConfig(dt=0.01, dno=DNO, monitor_taylor=True, taylor_every=1,
-                     symmetrized_s=1.0)
+    cfg = StepConfig(dt=0.01, dno=DNO, taylor_every=1, symmetrized_s=1.0)
     sol = dno_solve(state.eta, state.psi, DNO)
     calls = []
     solve = stepping.taylor_coefficient
@@ -220,7 +221,7 @@ def test_diagnose_runs_one_pressure_solve(monkeypatch):
 
 
 def test_integrate_cfl_failure_ends_with_status():
-    cfg = StepConfig(dt=10.0, dno=DNO, monitor_taylor=False)
+    cfg = StepConfig(dt=10.0, dno=DNO, taylor_every=None)
     traj = integrate(linear_wave_state(), 10.0, cfg)
     assert traj.status.startswith("aborted: CFLError: dt = 10")
     assert len(traj.states) == 1 and len(traj.records) == 1
@@ -229,7 +230,7 @@ def test_integrate_cfl_failure_ends_with_status():
 def test_integrate_elliptic_failure_ends_with_status():
     from dataclasses import replace
 
-    cfg = StepConfig(dt=0.05, dno=replace(DNO, maxiter=1), monitor_taylor=False)
+    cfg = StepConfig(dt=0.05, dno=replace(DNO, maxiter=1), taylor_every=None)
     traj = integrate(linear_wave_state(0.05), 0.1, cfg)
     assert traj.status.startswith("aborted: EllipticSolveError: elliptic solve stalled")
     # psi = 0 needs no Krylov step, so step 0 is diagnosed before the first
@@ -238,7 +239,7 @@ def test_integrate_elliptic_failure_ends_with_status():
 
 
 def test_integrate_rejects_partial_final_step():
-    cfg = StepConfig(dt=0.1, dno=DNO, monitor_taylor=False)
+    cfg = StepConfig(dt=0.1, dno=DNO, taylor_every=None)
     with pytest.raises(ValueError, match="whole number of steps"):
         integrate(rest_state(), 0.15, cfg)
     with pytest.raises(ValueError, match="T = -0.1 is negative"):
