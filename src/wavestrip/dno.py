@@ -17,14 +17,17 @@ The Laplace problem becomes the variable-coefficient strip problem
 discretized by Fourier collocation in x and Chebyshev-Lobatto collocation in
 z in [-1, 0], and solved by right-preconditioned restarted GMRES (Saad &
 Schultz, SIAM J. Sci. Stat. Comput. 7, 1986).  Each iteration costs one
-preconditioner apply and one operator apply.  A solve returns once the true
-relative residual |b - A x| / |b| is at most tol; that residual is formed at
-the end of each cycle of at most 80 iterations, and the next cycle restarts
-from it, for at most ceil(maxiter / 80) cycles.  A strip solve takes real
-data only (G(eta) is a real operator; dirichlet_neumann solves the parts of
-complex psi apart) and returns the solved field with its GMRES unknown and
-iteration count.  Each solve builds its own solver, and one given a solved
-field as guess restarts from that unknown (see StripSolver.solve).
+preconditioner apply and one operator apply, together one forward and two
+inverse x transforms: the operator apply of a preconditioned direction
+reuses the half spectrum the preconditioner formed it from.  A solve returns
+once the true relative residual |b - A x| / |b| is at most tol; that
+residual is formed at the end of each cycle of at most 80 iterations, and
+the next cycle restarts from it, for at most ceil(maxiter / 80) cycles.  A
+strip solve takes real data only (G(eta) is a real operator;
+dirichlet_neumann solves the parts of complex psi apart) and returns the
+solved field with its GMRES unknown, iteration count and true residual.
+Each solve builds its own solver, and one given a solved field as guess
+restarts from that unknown (see StripSolver.solve).
 Every x-derivative runs on the rfft half spectrum of the real samples.  The
 preconditioner is the strip operator with alpha and g1 replaced by their
 means (alpha over the interior nodes, g1 at the bottom) and without gamma,
@@ -315,9 +318,11 @@ class StraightenedField:
 
     dom: StraightenedDomain
     values: np.ndarray  # (Nz, *grid.shape); row 0 is the surface z = 0
-    # of a solved field: its GMRES unknown and iteration count
+    # of a solved field: its GMRES unknown, iteration count and true relative
+    # residual |b - A unknown| / |b| (0 when b = 0)
     unknown: np.ndarray | None = None
     iterations: int = 0
+    residual: float = 0.0
 
 
 class StripSolver:
@@ -345,13 +350,16 @@ class StripSolver:
 
     GMRES is preconditioned on the right, so it minimizes the true residual
     b - A x over x0 + span(Z) with Z = M V.  Each iteration costs exactly one
-    ``_precond`` and one ``_matvec``; a solve adds one ``_matvec`` for the
-    residual of a ``guess`` and one per cycle for the true residual of the
-    new iterate.  The solve returns once that residual is at most ``tol``
-    (relative to |b|) and otherwise restarts from it, with cycles of at most
-    80 iterations and at most ceil(maxiter / 80) cycles.  When the cycles run
-    out, the solve is accepted if the residual is within max(50 tol, 1e-13)
-    and raises EllipticSolveError otherwise.  The data is real; ``solve``
+    ``_precond`` and one ``_matvec``, together one forward and two inverse x
+    transforms: ``_precond`` returns z = M v with its half spectrum, which
+    ``_matvec`` takes instead of transforming z again.  A solve adds one
+    ``_matvec`` of real input for the residual of a ``guess`` and one per
+    cycle for the true residual of the new iterate.  The solve returns once
+    that residual is at most ``tol`` (relative to |b|) and otherwise restarts
+    from it, with cycles of at most 80 iterations and at most
+    ceil(maxiter / 80) cycles.  When the cycles run out, the solve is
+    accepted if the residual is within max(50 tol, 1e-13) and raises
+    EllipticSolveError otherwise.  The data is real; ``solve``
     returns the solved field, and ``last_iterations`` also counts the
     iterations of the last solve, failed or not.  solve_laplace builds a
     solver per solve, so nothing refers back to the domain.
@@ -380,7 +388,8 @@ class StripSolver:
         self._W[:, -1] /= float(np.mean(self.g1_bottom)) * line.Dz[-1, -1]
         self.last_iterations = 0
 
-    def _matvec(self, vec: np.ndarray) -> np.ndarray:
+    def _matvec(self, vec: np.ndarray, half: np.ndarray | None = None) -> np.ndarray:
+        """A vec; ``half`` is rfft_x of vec when the caller already has it."""
         dom = self.dom
         grid = dom.grid
         dim = grid.dim
@@ -388,7 +397,7 @@ class StripSolver:
         m = n - 1
         # u at the nodes 1..nz-1; u = 0 at the surface
         uz_uzz = (self._dz_rows @ vec.reshape(n, -1)).reshape((-1,) + grid.shape)
-        uh = rfft_x(vec.reshape((n,) + grid.shape), grid)
+        uh = rfft_x(vec.reshape((n,) + grid.shape), grid) if half is None else half
         # d_z commutes with the x transform; the real Dz acts on real pairs
         uzh = (self._dz_rows[:m] @ uh.reshape(n, -1).view(float)).view(complex)
         spec = np.empty((m * (dim + 1) + dim,) + grid.half_shape, dtype=complex)
@@ -407,12 +416,14 @@ class StripSolver:
             out[-1] -= g2c * gb
         return out.ravel()
 
-    def _precond(self, vec: np.ndarray) -> np.ndarray:
+    def _precond(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """z = M vec and its half spectrum, which _matvec takes as ``half``."""
         grid = self.dom.grid
         n = self.dom.nz - 1
         rh = rfft_x(vec.reshape((n,) + grid.shape), grid).reshape(n, -1).view(float)
         sol = self._V @ (self._scale * (self._W @ rh))
-        return irfft_x(sol.view(complex).reshape((n,) + grid.half_shape), grid).ravel()
+        half = sol.view(complex).reshape((n,) + grid.half_shape)
+        return irfft_x(half, grid).ravel(), half
 
     def _gmres(self, b: np.ndarray, bnorm: float,
                x: np.ndarray | None) -> tuple[np.ndarray, float, list[float]]:
@@ -442,8 +453,8 @@ class StripSolver:
             V[0] = r * (1.0 / beta)
             g[0] = beta
             for j in range(restart):
-                Z[j] = self._precond(V[j])
-                w = self._matvec(Z[j])
+                Z[j], half = self._precond(V[j])
+                w = self._matvec(Z[j], half)
                 # classical Gram-Schmidt, run twice
                 col = V[:j + 1] @ w
                 w -= col @ V[:j + 1]
@@ -478,12 +489,13 @@ class StripSolver:
               guess: StraightenedField | None = None) -> StraightenedField:
         """Solve the strip problem for real data; return the solved field.
 
-        The result carries the GMRES unknown u = Phi[1:] - surface and the
-        iteration count.  ``guess`` is such a solved field, typically from a
-        nearby surface, on any domain of the same grid and zpoints; GMRES
-        starts from guess.unknown + (guess.values[0] - surface) instead of
-        from zero, free of the rounding of Phi = u + psi, so an exact guess
-        takes no iteration.  A guess without an unknown of shape
+        The result carries the GMRES unknown u = Phi[1:] - surface, the
+        iteration count and the true relative residual |b - A u| / |b|.
+        ``guess`` is such a solved field, typically from a nearby surface,
+        on any domain of the same grid and zpoints; GMRES starts from
+        guess.unknown + (guess.values[0] - surface) instead of from zero,
+        free of the rounding of Phi = u + psi, so an exact guess takes no
+        iteration.  A guess without an unknown of shape
         (nz - 1, *grid.shape), or complex data, raises ValueError.
         """
         dom = self.dom
@@ -524,7 +536,7 @@ class StripSolver:
             raise EllipticSolveError(residual, history)
         u = sol.reshape((nz - 1,) + shape)
         phi[1:] += u
-        return StraightenedField(dom, phi, u, len(history))
+        return StraightenedField(dom, phi, u, len(history), residual)
 
 
 def solve_laplace(dom: StraightenedDomain, psi: Field,

@@ -8,9 +8,11 @@ quadratic nonlinearities are expected to go through ``dealiased_product``.
 Every Fourier multiplier (derivatives, <D>^s, the heat semigroup, the 2/3
 dealiasing rule, ``fourier_multiplier``) goes through ``apply_half_symbols``
 on the rfft half spectrum: one real transform pair, batched over leading axes.
-The full complex lattice (``fft``/``ifft``) serves only where the algorithm
-needs it: the paraproduct kernel, the Littlewood-Paley blocks and the
-Hermitian-symmetry debug check.
+On 1-D grids ``rfft_x``/``irfft_x`` call scipy's one-axis ``rfft``/``irfft``,
+which skip the n-D shape and axes handling of ``rfftn``/``irfftn`` and give
+the same bits; 2-D grids keep ``rfftn``/``irfftn``.  The full complex lattice
+(``fft``/``ifft``) serves only where the algorithm needs it: the paraproduct
+kernel, the Littlewood-Paley blocks and the Hermitian-symmetry debug check.
 """
 
 from __future__ import annotations
@@ -224,17 +226,22 @@ def ifft(grid: PeriodicGrid, spectrum: np.ndarray, real: bool = False) -> Field:
 
 
 def _x_axes(grid: PeriodicGrid, ndim: int) -> tuple[int, ...] | None:
+    # 2-D only (1-D grids take the one-axis rfft/irfft, which need no axes);
     # None when nothing batches: scipy's axes handling costs microseconds a call
     return None if ndim == grid.dim else tuple(range(ndim - grid.dim, ndim))
 
 
 def rfft_x(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """rfftn of real samples over the trailing grid axes; leading axes batch."""
+    if grid.dim == 1:
+        return sfft.rfft(values)
     return sfft.rfftn(values, axes=_x_axes(grid, np.ndim(values)))
 
 
 def irfft_x(spectrum: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """Inverse of rfft_x: real samples from a half spectrum."""
+    if grid.dim == 1:
+        return sfft.irfft(spectrum, n=grid.points[0])
     return sfft.irfftn(spectrum, s=grid.shape, axes=_x_axes(grid, spectrum.ndim))
 
 
@@ -330,11 +337,10 @@ def dealiased_product(a: Field, b: Field) -> Field:
 
 
 def inner_l2(u: Field, v: Field) -> float | complex:
-    """Discrete L^2 pairing with the cell volume weight."""
+    """Discrete L^2 pairing with the cell volume weight; complex when either
+    factor is, whether ``v`` is a Field or an array."""
     val = np.sum(np.conj(u.values) * _vals(v)) * u.grid.cell_volume
-    if u.is_real and (not isinstance(v, Field) or v.is_real):
-        return float(np.real(val))
-    return complex(val)
+    return complex(val) if np.iscomplexobj(val) else float(val)
 
 
 def norm_l2(u: Field) -> float:

@@ -89,7 +89,8 @@ class DiagnosticsRecord:
     min_taylor: float  # nan on steps where the pressure solve is skipped
     symmetrized_energy: float
     ul_norms: dict[str, float] = dc_field(default_factory=dict)
-    # "potential_iterations": GMRES iterations of the state's potential solve
+    # "potential_iterations" and "potential_residual": GMRES iterations and
+    # true relative residual of the state's potential solve
     extra: dict[str, float] = dc_field(default_factory=dict)
 
 
@@ -232,7 +233,8 @@ def _diagnose(state: SurfaceState, cfg: StepConfig, sol: DNOSolution,
         t=state.t, hamiltonian=float(ham), mass=mass(state),
         min_depth=state.min_depth(), min_taylor=float(min_taylor),
         symmetrized_energy=float(sym_energy), ul_norms=ul_norms,
-        extra={"potential_iterations": sol.phi.iterations},
+        extra={"potential_iterations": sol.phi.iterations,
+               "potential_residual": sol.phi.residual},
     )
 
 

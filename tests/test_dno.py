@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from wavestrip import dno
 from wavestrip.grid import (
     Field,
     dealiased_product,
@@ -15,6 +16,7 @@ from wavestrip.grid import (
     inner_l2,
     make_grid,
     norm_l2,
+    rfft_x,
     sobolev_norm,
     spectral_gradient,
 )
@@ -392,7 +394,7 @@ def test_precond_inverts_flat_strip_operator(points, zpoints):
                      zpoints=zpoints)
     solver = StripSolver(dom)
     v = np.random.default_rng(zpoints).normal(size=(zpoints - 1) * grid.size)
-    back = solver._precond(solver._matvec(v))
+    back = solver._precond(solver._matvec(v))[0]
     assert np.max(np.abs(back - v)) < 1e-10 * np.max(np.abs(v))
 
 
@@ -429,7 +431,37 @@ def test_precond_matches_dense_z_line_solves(points):
     solver = StripSolver(dom)
     v = np.random.default_rng(7).normal(size=(dom.nz - 1) * grid.size)
     ref = dense_z_line_precond(solver, v)
-    assert np.max(np.abs(solver._precond(v) - ref)) < 1e-10 * np.max(np.abs(ref))
+    assert np.max(np.abs(solver._precond(v)[0] - ref)) < 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("points, zpoints", [((256,), 32), ((32, 32), 24)])
+def test_matvec_of_preconditioned_direction_reuses_its_half_spectrum(points, zpoints):
+    grid = make_grid([2 * np.pi] * len(points), points)
+    eta = field_from_function(grid, lambda x, *rest: 0.1 * np.cos(x)
+                              + 0.05 * np.sin(2 * x + sum(rest)))
+    solver = StripSolver(straighten(eta, h=1.0, zpoints=zpoints))
+    v = np.random.default_rng(3).normal(size=(zpoints - 1) * grid.size)
+    z, z_half = solver._precond(v)
+    ref = solver._matvec(z)
+    assert np.max(np.abs(solver._matvec(z, z_half) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_cold_solve_transforms_forward_once_per_iteration(monkeypatch):
+    # one rfft_x per preconditioner apply, none in the matvec of its
+    # direction, and one for the true residual at the end of the one cycle
+    eta = field_from_function(GRID, lambda x: 0.1 * np.cos(x) + 0.05 * np.sin(2 * x))
+    psi = field_from_function(GRID, lambda x: np.sin(x) + 0.3 * np.cos(3 * x))
+    dom = straighten(eta, h=1.0, zpoints=24)
+    calls = []
+
+    def counted(values, grid):
+        calls.append(values.shape)
+        return rfft_x(values, grid)
+
+    monkeypatch.setattr(dno, "rfft_x", counted)
+    out = solve_laplace(dom, psi)
+    assert 1 <= out.iterations < 80
+    assert len(calls) == out.iterations + 1
 
 
 def test_z_line_eigenbasis_is_real_with_negative_simple_eigenvalues():
@@ -604,9 +636,9 @@ def count_calls(solver: StripSolver, name: str) -> list[np.ndarray]:
     calls = []
     method = getattr(solver, name)
 
-    def counted(vec):
+    def counted(vec, *args):
         calls.append(vec.copy())
-        return method(vec)
+        return method(vec, *args)
 
     setattr(solver, name, counted)
     return calls
@@ -634,6 +666,22 @@ def test_rounding_floor_ends_fast_and_reports_honestly():
     b = strip_rhs(source, np.zeros(GRID.shape))
     outside = np.linalg.norm(matvec(calls[-1]) - b) / np.linalg.norm(b)
     assert err.value.residual == pytest.approx(outside, rel=1e-12)
+
+
+def test_solved_field_carries_its_true_residual():
+    eta = field_from_function(GRID, lambda x: 0.1 * np.cos(x))
+    solver = StripSolver(straighten(eta, h=1.0, zpoints=24))
+    zc = solver.dom.z[:, None]
+    x = GRID.axes()[0]
+    source = np.cos(zc) * np.sin(x)[None] + zc
+    flux = 0.1 * np.cos(x)
+    out = solver.solve(np.zeros(GRID.shape), source=source, bottom_flux=flux)
+    b = strip_rhs(source, flux)
+    ref = np.linalg.norm(b - solver._matvec(out.unknown.ravel())) / np.linalg.norm(b)
+    assert out.residual == pytest.approx(ref, rel=1e-12)
+    assert 0.0 < out.residual <= max(50.0 * solver.tol, 1e-13)
+    # b = 0 takes no iteration and reports no residual
+    assert solver.solve(np.zeros(GRID.shape)).residual == 0.0
 
 
 def dense_strip_operator(solver: StripSolver) -> np.ndarray:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,8 +16,10 @@ from wavestrip.grid import (
     fourier_multiplier,
     heat_propagator,
     inner_l2,
+    irfft_x,
     make_grid,
     norm_l2,
+    rfft_x,
     shift_field,
     sobolev_norm,
     spectral_gradient,
@@ -209,6 +212,25 @@ def test_inner_product_symmetry():
     g = make_grid([2 * np.pi], [32])
     u, v = random_field(g, 1), random_field(g, 2)
     assert abs(inner_l2(u, v) - inner_l2(v, u)) < 1e-12
+
+
+def test_inner_product_is_complex_when_an_array_factor_is():
+    g = make_grid([2 * np.pi], [16])
+    ones = Field(g, np.ones(g.shape))
+    for v in (1j * np.ones(g.shape), Field(g, 1j * np.ones(g.shape))):
+        out = inner_l2(ones, v)
+        assert isinstance(out, complex)
+        assert out == pytest.approx(2j * np.pi, rel=1e-14)
+    assert isinstance(inner_l2(ones, np.ones(g.shape)), float)
+
+
+@pytest.mark.parametrize("batch", [(), (31,)])
+def test_one_axis_transforms_match_rfftn_bitwise_on_1d_grids(batch):
+    g = make_grid([2 * np.pi], [256])
+    values = np.random.default_rng(5).normal(size=batch + g.shape)
+    spec = rfft_x(values, g)
+    assert np.array_equal(spec, sfft.rfftn(values, axes=(-1,)))
+    assert np.array_equal(irfft_x(spec, g), sfft.irfftn(spec, s=g.shape, axes=(-1,)))
 
 
 def test_dealiased_product_of_low_modes_exact():

@@ -338,6 +338,15 @@ def test_records_carry_potential_solve_iterations():
     assert all(counts[0] > c for c in counts[1:])
 
 
+def test_records_carry_potential_solve_residual():
+    cfg = StepConfig(dt=0.05, dno=DNO)
+    traj = integrate(moving_wave_state(0.1), 3 * cfg.dt, cfg)
+    assert traj.status == "ok"
+    residuals = [rec.extra["potential_residual"] for rec in traj.records]
+    assert len(residuals) == 4
+    assert all(0.0 <= r <= max(50.0 * DNO.tol, 1e-13) for r in residuals)
+
+
 def test_integrate_default_params_runs():
     # default DNOParams and StepConfig: zpoints 48, Taylor monitor on
     grid = make_grid([2 * np.pi], [64])
