@@ -336,7 +336,7 @@ def dealiased_product(a: Field, b: Field) -> Field:
     return dealias(Field(a.grid, a.values * _vals(b)))
 
 
-def inner_l2(u: Field, v: Field) -> float | complex:
+def inner_l2(u: Field, v: Field | np.ndarray) -> float | complex:
     """Discrete L^2 pairing with the cell volume weight; complex when either
     factor is, whether ``v`` is a Field or an array."""
     val = np.sum(np.conj(u.values) * _vals(v)) * u.grid.cell_volume
