@@ -158,13 +158,11 @@ def taylor_coefficient(state: SurfaceState, sol: DNOSolution,
     return a, float(np.min(a_vals))
 
 
-def analyze_state(state: SurfaceState, params: DNOParams = DNOParams(),
-                  with_taylor: bool = True) -> tuple[TraceFields, DNOSolution]:
+def analyze_state(state: SurfaceState, params: DNOParams = DNOParams()
+                  ) -> tuple[TraceFields, DNOSolution]:
     """Traces plus Taylor coefficient with a single potential solve."""
     traces, sol = trace_velocities(state, params)
-    if with_taylor:
-        a, _ = taylor_coefficient(state, sol, params)
-        traces.a = a
+    traces.a, _ = taylor_coefficient(state, sol, params)
     return traces, sol
 
 
@@ -218,7 +216,7 @@ def reformulated_residuals(prev: SurfaceState, cur: SurfaceState,
 
     tr_prev, _ = trace_velocities(prev, params)
     tr_next, _ = trace_velocities(nxt, params)
-    traces, sol = analyze_state(cur, params, with_taylor=True)
+    traces, sol = analyze_state(cur, params)
     grid = cur.eta.grid
     two_dt = dt_f + dt_b
 

@@ -69,7 +69,7 @@ from wavestrip.grid import (
     rfft_x,
     spectral_gradient,
 )
-from wavestrip.paradiff import CutoffPair, ParaSymbol, paradiff_apply
+from wavestrip.paradiff import ParaSymbol, paradiff_apply
 
 
 class StraighteningError(RuntimeError):
@@ -220,8 +220,8 @@ class StraightenedDomain:
         return out
 
 
-def straighten(eta: Field, h: float, delta: float = 0.1,
-               zpoints: int = 48) -> StraightenedDomain:
+def straighten(eta: Field, h: float, delta: float = DNOParams.delta,
+               zpoints: int = DNOParams.zpoints) -> StraightenedDomain:
     """Build the straightening diffeomorphism and elliptic coefficients.
 
     Every derivative of rho that the coefficients need is linear in eta, so
@@ -365,8 +365,8 @@ class StripSolver:
     solver per solve, so nothing refers back to the domain.
     """
 
-    def __init__(self, dom: StraightenedDomain, tol: float = 1e-12,
-                 maxiter: int = 400):
+    def __init__(self, dom: StraightenedDomain, tol: float = DNOParams.tol,
+                 maxiter: int = DNOParams.maxiter):
         self.dom = dom
         self.tol = tol
         self.maxiter = maxiter
@@ -542,7 +542,7 @@ class StripSolver:
 def solve_laplace(dom: StraightenedDomain, psi: Field,
                   source: StraightenedField | None = None,
                   bottom_flux: Field | None = None,
-                  tol: float = 1e-12, maxiter: int = 400,
+                  tol: float = DNOParams.tol, maxiter: int = DNOParams.maxiter,
                   guess: StraightenedField | None = None) -> StraightenedField:
     """Solve the straightened strip problem with real surface trace psi.
 
@@ -622,13 +622,10 @@ def dno_principal_symbol(eta: Field) -> ParaSymbol:
     return ParaSymbol(order=1.0, regularity=0.5, eval=eval_fn, homogeneous=True)
 
 
-def dno_remainder(eta: Field, psi: Field, cut: CutoffPair | None = None,
-                  params: DNOParams = DNOParams()) -> Field:
+def dno_remainder(eta: Field, psi: Field, params: DNOParams = DNOParams()) -> Field:
     """R(eta) psi = G(eta) psi - T_lambda psi."""
-    if cut is None:
-        cut = CutoffPair()
     g = dirichlet_neumann(eta, psi, params)
-    t = paradiff_apply(dno_principal_symbol(eta), psi, cut)
+    t = paradiff_apply(dno_principal_symbol(eta), psi)
     if psi.is_real:
         t = t.real
     return g - t

@@ -12,7 +12,7 @@ On 1-D grids ``rfft_x``/``irfft_x`` call scipy's one-axis ``rfft``/``irfft``,
 which skip the n-D shape and axes handling of ``rfftn``/``irfftn`` and give
 the same bits; 2-D grids keep ``rfftn``/``irfftn``.  The full complex lattice
 (``fft``/``ifft``) serves only where the algorithm needs it: the paraproduct
-kernel, the Littlewood-Paley blocks and the Hermitian-symmetry debug check.
+kernel and the Littlewood-Paley blocks.
 """
 
 from __future__ import annotations
@@ -199,11 +199,6 @@ class Field:
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())
 
-    def spectrum_is_conjugate_symmetric(self, tol: float = 1e-10) -> bool:
-        """Debug check: real fields must have Hermitian spectra."""
-        uh = fft(self)
-        return bool(np.max(np.abs(uh - _hermitian_mirror(uh))) <= tol * (1 + np.max(np.abs(uh))))
-
 
 def _vals(x):
     return x.values if isinstance(x, Field) else x
@@ -272,11 +267,6 @@ def gradient_x(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
 def laplacian_x(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """Spectral Laplacian over the trailing grid axes."""
     return apply_half_symbols(values, grid, (grid.half_laplacian_symbol,))[0]
-
-
-def _hermitian_mirror(spec: np.ndarray) -> np.ndarray:
-    idx = np.ix_(*[(-np.arange(n)) % n for n in spec.shape])
-    return np.conj(spec[idx])
 
 
 def _apply_half_symbol(u: Field, symbol: np.ndarray) -> Field:

@@ -6,12 +6,17 @@ The operator T_a acts in frequency as
                                  psi(eta) u^(eta),
 
 a lattice convolution in which theta keeps only low-frequency symbol times
-high-frequency function interactions and psi kills low frequencies.  One
-private kernel evaluates it exactly as the matrix product (Theta o C) psi u^,
-with C[xi, eta] = c^_eta(xi - eta) the symbol spectrum at the column's eta,
-in fixed-size chunks of eta columns and only on the pairs where theta is not
-zero.  ``paraproduct`` (a = a(x)) and ``paradiff_apply`` (a = a(x, xi),
-tabulated at every lattice eta) both call it.
+high-frequency function interactions and psi kills low frequencies.  The
+calculus needs one admissible cutoff pair (psi, theta), fixed once and for
+all: psi switches on between |eta| = 1/2 and 1, and theta switches off
+between |zeta| = EPS1 |eta| and EPS2 |eta| (0.1 and 0.2), both through
+``ulspaces.smooth_step``; ``cutoff_psi`` and ``cutoff_theta`` evaluate them.
+One private kernel evaluates T_a u exactly as the matrix product
+(Theta o C) psi u^, with C[xi, eta] = c^_eta(xi - eta) the symbol spectrum
+at the column's eta, in fixed-size chunks of eta columns and only on the
+pairs where theta is not zero.  ``paraproduct`` (a = a(x)) and
+``paradiff_apply`` (a = a(x, xi), tabulated at every lattice eta) both call
+it.
 
 A symbol is evaluated on stacks of wavenumbers: ``ParaSymbol.eval(x_meshes,
 xis)`` takes xis of shape (m, d) and returns values broadcastable to
@@ -34,33 +39,27 @@ class SymbolDomainError(ValueError):
     """Raised for symbol evaluations outside their declared domain."""
 
 
-@dataclass(frozen=True)
-class CutoffPair:
-    """Admissible cutoff pair (psi, theta).
+# theta(zeta, eta) = 1 for |zeta| <= EPS1 |eta| and 0 for |zeta| >= EPS2 |eta|
+EPS1 = 0.1
+EPS2 = 0.2
 
-    psi(eta) = 1 for |eta| >= 1 and 0 for |eta| <= 1/2; theta(zeta, eta) = 1
-    for |zeta| <= eps1*|eta| and 0 for |zeta| >= eps2*|eta|, smooth monotone
-    in between.
-    """
 
-    eps1: float = 0.1
-    eps2: float = 0.2
+def cutoff_psi(eta_abs) -> np.ndarray:
+    """psi(eta) from |eta|: 0 for |eta| <= 1/2, 1 for |eta| >= 1, smooth and
+    monotone in between."""
+    r = np.asarray(eta_abs, dtype=float)
+    return smooth_step((r - 0.5) / 0.5)
 
-    def __post_init__(self):
-        if not (0.0 < self.eps1 < self.eps2):
-            raise ValueError("cutoffs require 0 < eps1 < eps2")
 
-    def psi(self, eta_abs) -> np.ndarray:
-        r = np.asarray(eta_abs, dtype=float)
-        return smooth_step((r - 0.5) / 0.5)
-
-    def theta(self, zeta_abs, eta_abs) -> np.ndarray:
-        z = np.asarray(zeta_abs, dtype=float)
-        r = np.asarray(eta_abs, dtype=float)
-        out = np.zeros(np.broadcast(z, r).shape)
-        pos = r > 0
-        t = np.divide(z, r, out=np.full_like(out, np.inf), where=pos)
-        return smooth_step((self.eps2 - t) / (self.eps2 - self.eps1))
+def cutoff_theta(zeta_abs, eta_abs) -> np.ndarray:
+    """theta(zeta, eta) from |zeta| and |eta|: 1 for |zeta| <= EPS1 |eta|, 0 for
+    |zeta| >= EPS2 |eta| (and for eta = 0), smooth and monotone in between."""
+    z = np.asarray(zeta_abs, dtype=float)
+    r = np.asarray(eta_abs, dtype=float)
+    out = np.zeros(np.broadcast(z, r).shape)
+    pos = r > 0
+    t = np.divide(z, r, out=np.full_like(out, np.inf), where=pos)
+    return smooth_step((EPS2 - t) / (EPS2 - EPS1))
 
 
 @dataclass
@@ -93,12 +92,12 @@ class ParaSymbol:
         """a(x, xi) on the grid for one wavenumber vector xi: a one-row stack."""
         return self._rows(grid, np.atleast_2d(np.asarray(xi, dtype=float)))[0]
 
-    def homogeneity_defect(self, grid: PeriodicGrid, n_rays: int = 4) -> float:
-        """Max relative defect of |xi|^order scaling along lattice rays."""
-        steps = np.arange(1, n_rays + 1) * grid.wavenumbers[0][1]  # smallest positive k
-        xis = np.zeros((2 * n_rays, grid.dim))
+    def homogeneity_defect(self, grid: PeriodicGrid) -> float:
+        """Max relative defect of |xi|^order scaling along 4 lattice rays."""
+        steps = np.arange(1, 5) * grid.wavenumbers[0][1]  # smallest positive k
+        xis = np.zeros((2 * len(steps), grid.dim))
         xis[:, 0] = np.concatenate([steps, 2.0 * steps])
-        v1, v2 = np.split(self._rows(grid, xis).reshape(2 * n_rays, -1), 2)
+        v1, v2 = np.split(self._rows(grid, xis).reshape(len(xis), -1), 2)
         scale = np.max(np.abs(v1), axis=1) * 2.0 ** self.order
         err = np.max(np.abs(v2 - 2.0 ** self.order * v1), axis=1)
         return float(np.max(np.divide(err, scale, out=np.zeros_like(err), where=scale > 0)))
@@ -143,7 +142,7 @@ def _symbol_table(sym: ParaSymbol, grid: PeriodicGrid, xis: np.ndarray) -> np.nd
     return table
 
 
-def _lattice_apply(u: Field, cut: CutoffPair, column_spectra) -> np.ndarray:
+def _lattice_apply(u: Field, column_spectra) -> np.ndarray:
     """Spectrum of T_a u = (Theta o C) (psi u^) / N.
 
     Theta[xi, eta] = theta(|xi - eta|, |eta|) where the true difference
@@ -152,10 +151,10 @@ def _lattice_apply(u: Field, cut: CutoffPair, column_spectra) -> np.ndarray:
     of a chunk of columns (shape (m, d)) to the spectra c^_eta, shape
     (m, *grid.shape), or to one spectrum of shape grid.shape shared by all.
     Only columns with psi(eta) u^(eta) != 0 enter, and since theta vanishes
-    for |xi - eta| >= eps2 |eta| only the pairs inside that ball are formed.
+    for |xi - eta| >= EPS2 |eta| only the pairs inside that ball are formed.
     """
     grid = u.grid
-    weights = (cut.psi(grid.abs_wavenumber()) * fft(u)).ravel()
+    weights = (cutoff_psi(grid.abs_wavenumber()) * fft(u)).ravel()
     active = np.flatnonzero(weights)
     # signed lattice index of the nodes along each axis, in FFT order
     signed = [(np.arange(n) + n // 2) % n - n // 2 for n in grid.points]
@@ -175,45 +174,39 @@ def _lattice_apply(u: Field, cut: CutoffPair, column_spectra) -> np.ndarray:
             diff = signed[ax].reshape(along) - signed[ax][cols[ax]]
             ok = (diff >= -(n // 2)) & (diff < n // 2)
             zeta2 = zeta2 + np.where(ok, (diff * scale[ax]) ** 2, np.inf)
-        *xi, col = np.nonzero(zeta2 < (cut.eps2 * eta_abs) ** 2)
+        *xi, col = np.nonzero(zeta2 < (EPS2 * eta_abs) ** 2)
         zeta = tuple((x - c[col]) % n for x, c, n in zip(xi, cols, grid.points))
         spectra = np.broadcast_to(np.asarray(column_spectra(k_eta)),
                                   (len(k_eta),) + grid.shape)
-        vals = (cut.theta(np.sqrt(zeta2[(*xi, col)]), eta_abs[col])
+        vals = (cutoff_theta(np.sqrt(zeta2[(*xi, col)]), eta_abs[col])
                 * spectra[(col, *zeta)] * weights[chunk][col])
         flat = np.ravel_multi_index(tuple(xi), grid.shape)
         out += np.bincount(flat, vals.real, grid.size) + 1j * np.bincount(flat, vals.imag, grid.size)
     return out.reshape(grid.shape) / grid.size
 
 
-def paraproduct(a: Field, u: Field, cut: CutoffPair | None = None) -> Field:
+def paraproduct(a: Field, u: Field) -> Field:
     """T_a u for an x-dependent, xi-independent symbol a."""
-    if cut is None:
-        cut = CutoffPair()
     if a.grid is not u.grid and a.grid != u.grid:
         raise ValueError("paraproduct requires a shared grid")
     a_hat = fft(a)
-    out = _lattice_apply(u, cut, lambda k_eta: a_hat)
+    out = _lattice_apply(u, lambda k_eta: a_hat)
     return ifft(u.grid, out, real=a.is_real and u.is_real)
 
 
-def paradiff_apply(sym: ParaSymbol, u: Field, cut: CutoffPair | None = None) -> Field:
+def paradiff_apply(sym: ParaSymbol, u: Field) -> Field:
     """T_a u for a general symbol a(x, xi), tabulated at the lattice eta."""
-    if cut is None:
-        cut = CutoffPair()
     grid = u.grid
     axes = tuple(range(1, grid.dim + 1))
     out = _lattice_apply(
-        u, cut, lambda k_eta: sfft.fftn(_symbol_table(sym, grid, k_eta), axes=axes))
+        u, lambda k_eta: sfft.fftn(_symbol_table(sym, grid, k_eta), axes=axes))
     return ifft(grid, out)
 
 
-def bony_remainder(a: Field, u: Field, cut: CutoffPair | None = None) -> Field:
+def bony_remainder(a: Field, u: Field) -> Field:
     """R(a, u) = au - T_a u - T_u a (product dealiased)."""
-    if cut is None:
-        cut = CutoffPair()
     prod = dealiased_product(a, u)
-    return prod - paraproduct(a, u, cut) - paraproduct(u, a, cut)
+    return prod - paraproduct(a, u) - paraproduct(u, a)
 
 
 def _multi_indices(dim: int, max_order: int):

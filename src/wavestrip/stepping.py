@@ -26,6 +26,7 @@ from wavestrip.core import (
 )
 from wavestrip.dno import DNOParams, DNOSolution, EllipticSolveError, StraighteningError
 from wavestrip.grid import Field, heat_propagator, norm_l2
+from wavestrip.symmetrizer import TaylorSignError, symmetrized_energy, symmetrized_pair
 from wavestrip.ulspaces import PartitionOfUnity, ul_sobolev_norm
 
 
@@ -219,8 +220,6 @@ def _diagnose(state: SurfaceState, cfg: StepConfig, sol: DNOSolution,
             min_taylor = a_min
     sym_energy = np.nan
     if cfg.symmetrized_s is not None:
-        from wavestrip.symmetrizer import symmetrized_pair, symmetrized_energy
-
         traces, _ = trace_velocities(state, cfg.dno, sol=sol)
         traces.a = a_field
         pair = symmetrized_pair(state, traces, cfg.symmetrized_s)
@@ -287,7 +286,8 @@ def integrate(state: SurfaceState, T: float, cfg: StepConfig, sink=None,
         except (MonitorAbort, StepError) as exc:
             status = f"aborted: {exc}"
             break
-        except (CFLError, EllipticSolveError, StraighteningError) as exc:
+        except (CFLError, EllipticSolveError, StraighteningError,
+                TaylorSignError) as exc:
             status = f"aborted: {type(exc).__name__}: {exc}"
             break
     return Trajectory(states=states, records=records, status=status)

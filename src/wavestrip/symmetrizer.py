@@ -16,7 +16,7 @@ import numpy as np
 from wavestrip.core import SurfaceState, TraceFields
 from wavestrip.dno import dno_principal_symbol
 from wavestrip.grid import Field, bessel_potential, spectral_gradient
-from wavestrip.paradiff import CutoffPair, ParaSymbol, paradiff_apply, paraproduct
+from wavestrip.paradiff import ParaSymbol, paradiff_apply, paraproduct
 from wavestrip.ulspaces import PartitionOfUnity, ul_sobolev_norm
 
 
@@ -37,16 +37,13 @@ class SymmetrizedPair:
     s: float
 
 
-def good_unknowns(state: SurfaceState, traces: TraceFields, s: float,
-                  cut: CutoffPair | None = None
+def good_unknowns(state: SurfaceState, traces: TraceFields, s: float
                   ) -> tuple[tuple[Field, ...], tuple[Field, ...]]:
     """U_s = <D>^s V + T_zeta <D>^s B (componentwise) and zeta_s = <D>^s zeta."""
-    if cut is None:
-        cut = CutoffPair()
     zeta = spectral_gradient(state.eta)
     bs = bessel_potential(traces.B, s)
     us = tuple(
-        bessel_potential(v, s) + paraproduct(z, bs, cut).real
+        bessel_potential(v, s) + paraproduct(z, bs)
         for v, z in zip(traces.V, zeta)
     )
     zeta_s = tuple(bessel_potential(z, s) for z in zeta)
@@ -72,22 +69,19 @@ def symmetrizer_symbols(a: Field, eta: Field) -> tuple[ParaSymbol, ParaSymbol]:
     return gamma, q
 
 
-def theta_field(zeta_s: tuple[Field, ...], q_sym: ParaSymbol,
-                cut: CutoffPair | None = None) -> tuple[Field, ...]:
+def theta_field(zeta_s: tuple[Field, ...], q_sym: ParaSymbol) -> tuple[Field, ...]:
     """theta_s = T_q zeta_s, componentwise."""
-    if cut is None:
-        cut = CutoffPair()
-    return tuple(paradiff_apply(q_sym, z, cut).real for z in zeta_s)
+    return tuple(paradiff_apply(q_sym, z).real for z in zeta_s)
 
 
-def symmetrized_pair(state: SurfaceState, traces: TraceFields, s: float,
-                     cut: CutoffPair | None = None) -> SymmetrizedPair:
+def symmetrized_pair(state: SurfaceState, traces: TraceFields, s: float
+                     ) -> SymmetrizedPair:
     """Assemble (U_s, theta_s) from a state with its Taylor coefficient."""
     if traces.a is None:
         raise ValueError("traces must carry the Taylor coefficient")
-    us, zeta_s = good_unknowns(state, traces, s, cut)
+    us, zeta_s = good_unknowns(state, traces, s)
     _, q = symmetrizer_symbols(traces.a, state.eta)
-    return SymmetrizedPair(Us=us, theta_s=theta_field(zeta_s, q, cut), s=s)
+    return SymmetrizedPair(Us=us, theta_s=theta_field(zeta_s, q), s=s)
 
 
 def decoupling_symbols(alpha, beta, xi):

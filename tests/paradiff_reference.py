@@ -9,23 +9,21 @@ general route exactly on modes where psi is 0 or 1.
 import numpy as np
 
 from wavestrip.grid import Field, fft, ifft
-from wavestrip.paradiff import CutoffPair, paraproduct
+from wavestrip.paradiff import cutoff_psi, paraproduct
 from wavestrip.ulspaces import DyadicDecomposition
 
 
-def separable_apply(b: Field, h, u: Field, cut: CutoffPair | None = None) -> Field:
+def separable_apply(b: Field, h, u: Field) -> Field:
     """Factorized route for a(x, xi) = b(x) h(xi): T_b psi(D) h(D) u.
 
     ``h`` is called with the stacked wavenumber meshes, shape (d, *grid.shape).
     """
-    if cut is None:
-        cut = CutoffPair()
     km = u.grid.wavenumber_meshes()
     kabs = u.grid.abs_wavenumber()
     harr = np.asarray(h(np.stack(km)))
-    filt = cut.psi(kabs) * harr
+    filt = cutoff_psi(kabs) * harr
     v = ifft(u.grid, filt * fft(u))
-    return paraproduct(b, v, cut)
+    return paraproduct(b, v)
 
 
 def paraproduct_blockwise(a: Field, u: Field, dd: DyadicDecomposition,

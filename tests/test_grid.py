@@ -202,12 +202,6 @@ def test_parseval():
     assert abs(norm_l2(u) - spectral) < 1e-12 * spectral
 
 
-def test_real_field_spectrum_symmetry():
-    g = make_grid([2 * np.pi], [32])
-    u = random_field(g, seed=9)
-    assert u.spectrum_is_conjugate_symmetric()
-
-
 def test_inner_product_symmetry():
     g = make_grid([2 * np.pi], [32])
     u, v = random_field(g, 1), random_field(g, 2)

@@ -3,10 +3,12 @@ import pytest
 
 from wavestrip.grid import Field, field_from_function, make_grid, norm_l2
 from wavestrip.paradiff import (
-    CutoffPair,
+    EPS2,
     ParaSymbol,
     SymbolDomainError,
     bony_remainder,
+    cutoff_psi,
+    cutoff_theta,
     paradiff_apply,
     paraproduct,
     separable_symbol,
@@ -18,11 +20,10 @@ from wavestrip.ulspaces import DyadicDecomposition
 from paradiff_reference import paraproduct_blockwise, separable_apply
 
 GRID = make_grid([2 * np.pi], [128])
-CUT = CutoffPair()
 DD = DyadicDecomposition(GRID)
 
 
-def reference_apply(column_hat, u, cut):
+def reference_apply(column_hat, u):
     """The per-mode loop the lattice kernel replaced, kept as its reference.
 
     For every lattice eta with psi(eta) u^(eta) != 0 it rolls the symbol
@@ -35,7 +36,7 @@ def reference_apply(column_hat, u, cut):
     out = np.zeros(grid.shape, dtype=complex)
     for multi in np.ndindex(*grid.shape):
         k_eta = np.array([grid.wavenumbers[ax][i] for ax, i in enumerate(multi)])
-        weight = float(cut.psi(np.linalg.norm(k_eta))) * u_hat[multi]
+        weight = float(cutoff_psi(np.linalg.norm(k_eta))) * u_hat[multi]
         if weight == 0.0:
             continue
         mask = np.ones(grid.shape, dtype=bool)
@@ -45,7 +46,7 @@ def reference_apply(column_hat, u, cut):
             delta = km[ax] - k_eta[ax]
             mask &= (delta >= -nyq - 1e-12) & (delta < nyq - 1e-12)
             z2 = z2 + delta ** 2
-        th = np.where(mask, cut.theta(np.sqrt(z2), np.linalg.norm(k_eta)), 0.0)
+        th = np.where(mask, cutoff_theta(np.sqrt(z2), np.linalg.norm(k_eta)), 0.0)
         out += th * np.roll(column_hat(k_eta), multi, axis=tuple(range(grid.dim))) * weight
     return np.fft.ifftn(out / grid.size)
 
@@ -80,10 +81,10 @@ def test_paraproduct_matches_per_mode_reference(case):
     grid, _, a, u, uc = case
     for sym_field, arg in [(a, u), (a, uc), (uc, u)]:
         a_hat = np.fft.fftn(sym_field.values)
-        ref = reference_apply(lambda k_eta: a_hat, arg, CUT)
+        ref = reference_apply(lambda k_eta: a_hat, arg)
         if sym_field.is_real and arg.is_real:
             ref = ref.real
-        assert rel_err(paraproduct(sym_field, arg, CUT).values, ref) < 1e-13
+        assert rel_err(paraproduct(sym_field, arg).values, ref) < 1e-13
 
 
 @pytest.mark.parametrize("case", kernel_cases(), ids=["1d64", "1d128", "2d16x24"])
@@ -96,8 +97,8 @@ def test_paradiff_apply_matches_per_mode_reference(case):
     _, q = symmetrizer_symbols(taylor, eta)
     for sym in (dno_principal_symbol(eta), q):
         for arg in (u, uc):
-            ref = reference_apply(symbol_column_hat(sym, grid), arg, CUT)
-            assert rel_err(paradiff_apply(sym, arg, CUT).values, ref) < 1e-13
+            ref = reference_apply(symbol_column_hat(sym, grid), arg)
+            assert rel_err(paradiff_apply(sym, arg).values, ref) < 1e-13
 
 
 def test_paraproduct_memory_bound_2d():
@@ -109,7 +110,7 @@ def test_paraproduct_memory_bound_2d():
     u = Field(grid, rng.normal(size=grid.shape))
     tracemalloc.start()
     try:
-        paraproduct(a, u, CUT)
+        paraproduct(a, u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -122,32 +123,32 @@ def cexp(grid, k):
     return Field(grid, np.exp(1j * phase))
 
 
-def exponential_pair_oracle(ell, k, cut):
+def exponential_pair_oracle(ell, k):
     """Closed-form T_{e^{i ell x}} e^{i k x} = theta*psi * e^{i(k+ell)x}."""
-    w = float(cut.theta(abs(ell), abs(k))) * float(cut.psi(abs(k)))
+    w = float(cutoff_theta(abs(ell), abs(k))) * float(cutoff_psi(abs(k)))
     return w
 
 
 def test_paraproduct_keeps_low_high_pair():
     k, ell = 32, 3  # |ell| <= eps1 |k| with eps1 = 0.1
     a, u = cexp(GRID, ell), cexp(GRID, k)
-    out = paraproduct(a, u, CUT)
-    expected = exponential_pair_oracle(ell, k, CUT)
+    out = paraproduct(a, u)
+    expected = exponential_pair_oracle(ell, k)
     assert expected == 1.0
     assert np.allclose(out.values, cexp(GRID, k + ell).values, atol=1e-12)
 
 
 def test_paraproduct_kills_high_low_pair():
     k, ell = 4, 8  # |ell| >= eps2 |k|
-    out = paraproduct(cexp(GRID, ell), cexp(GRID, k), CUT)
-    assert exponential_pair_oracle(ell, k, CUT) == 0.0
+    out = paraproduct(cexp(GRID, ell), cexp(GRID, k))
+    assert exponential_pair_oracle(ell, k) == 0.0
     assert np.max(np.abs(out.values)) < 1e-13
 
 
 def test_paraproduct_transition_weight_matches_oracle():
     k, ell = 40, 6  # eps1|k| < |ell| < eps2|k|: smooth transition region
-    out = paraproduct(cexp(GRID, ell), cexp(GRID, k), CUT)
-    w = exponential_pair_oracle(ell, k, CUT)
+    out = paraproduct(cexp(GRID, ell), cexp(GRID, k))
+    w = exponential_pair_oracle(ell, k)
     assert 0.0 < w < 1.0
     assert np.allclose(out.values, w * cexp(GRID, k + ell).values, atol=1e-12)
 
@@ -155,7 +156,7 @@ def test_paraproduct_transition_weight_matches_oracle():
 def test_paraproduct_annihilates_constants():
     a = field_from_function(GRID, lambda x: 1.0 + 0.5 * np.cos(2 * x))
     u = Field(GRID, np.full(GRID.shape, 3.0))
-    out = paraproduct(a, u, CUT)
+    out = paraproduct(a, u)
     assert np.max(np.abs(out.values)) < 1e-13
 
 
@@ -170,8 +171,8 @@ def test_paraproduct_linearity():
         return Field(GRID, np.fft.ifftn(spec).real)
 
     a, b, u = rand_field(1), rand_field(2), rand_field(3)
-    lhs = paraproduct(a + 2.0 * b, u, CUT)
-    rhs = paraproduct(a, u, CUT) + 2.0 * paraproduct(b, u, CUT)
+    lhs = paraproduct(a + 2.0 * b, u)
+    rhs = paraproduct(a, u) + 2.0 * paraproduct(b, u)
     assert np.max(np.abs(lhs.values - rhs.values)) < 1e-11
 
 
@@ -179,17 +180,17 @@ def test_frequency_localization_single_mode():
     k = 30
     a = field_from_function(GRID, lambda x: np.cos(2 * x) + np.sin(9 * x))
     u = cexp(GRID, k)
-    out_hat = np.fft.fftn(paraproduct(a, u, CUT).values)
+    out_hat = np.fft.fftn(paraproduct(a, u).values)
     ks = GRID.wavenumbers[0]
     active = np.abs(out_hat) > 1e-10 * np.max(np.abs(out_hat))
-    assert np.all(np.abs(ks[active] - k) <= CUT.eps2 * k + 1e-9)
+    assert np.all(np.abs(ks[active] - k) <= EPS2 * k + 1e-9)
 
 
 def test_blockwise_agrees_where_both_exact():
     # ratios <= 1/16 make theta = 1 in both realizations
     k, ell = 64, 3
     a, u = cexp(GRID, ell), cexp(GRID, k)
-    direct = paraproduct(a, u, CUT)
+    direct = paraproduct(a, u)
     block = paraproduct_blockwise(a, u, DD)
     assert np.max(np.abs(direct.values - block.values)) < 1e-8
 
@@ -197,7 +198,7 @@ def test_blockwise_agrees_where_both_exact():
 def test_blockwise_close_on_smooth_data():
     a = field_from_function(GRID, lambda x: 1.0 + 0.3 * np.cos(x))
     u = field_from_function(GRID, lambda x: np.sin(25 * x))
-    direct = paraproduct(a, u, CUT)
+    direct = paraproduct(a, u)
     block = paraproduct_blockwise(a, u, DD)
     # same operator up to block-boundary discretization; high-band content agrees
     assert norm_l2(direct - block) < 0.15 * norm_l2(direct)
@@ -236,13 +237,13 @@ def test_symbol_table_rows_are_one_row_values(lengths, points):
                 np.testing.assert_array_equal(row, sym.values(grid, xi))
         assert np.isfinite(symbol_seminorm(q, grid))
         u = Field(grid, np.cos(5 * x[0]) + np.sin(3 * x[-1]))
-        assert np.all(np.isfinite(paradiff_apply(q, u, CUT).values))
+        assert np.all(np.isfinite(paradiff_apply(q, u).values))
 
 
 def test_paradiff_multiplier_reduction():
     u = cexp(GRID, 4)
     sym = x_independent_symbol(1.0, lambda xi: np.linalg.norm(xi, axis=-1), homogeneous=True)
-    out = paradiff_apply(sym, u, CUT)
+    out = paradiff_apply(sym, u)
     assert np.allclose(out.values, 4.0 * u.values, atol=1e-11)
 
 
@@ -251,8 +252,8 @@ def test_paradiff_factorization_route():
     k = 24
     u = cexp(GRID, k)
     sym = separable_symbol(b, 1.0, lambda xi: np.linalg.norm(xi, axis=-1), homogeneous=True)
-    general = paradiff_apply(sym, u, CUT)
-    factored = separable_apply(b, lambda km: np.sqrt(np.sum(km ** 2, axis=0)), u, CUT)
+    general = paradiff_apply(sym, u)
+    factored = separable_apply(b, lambda km: np.sqrt(np.sum(km ** 2, axis=0)), u)
     assert np.max(np.abs(general.values - factored.values)) < 1e-10
 
 
@@ -263,7 +264,7 @@ def test_paradiff_dno_symbol_is_multiplier_in_1d():
     eta = field_from_function(GRID, lambda x: 0.1 * np.cos(x))
     lam = dno_principal_symbol(eta)
     u = cexp(GRID, 9)
-    out = paradiff_apply(lam, u, CUT)
+    out = paradiff_apply(lam, u)
     ref_vals = 9.0 * u.values  # psi(9) = 1
     assert np.max(np.abs(out.values - ref_vals)) < 1e-10
 
@@ -271,13 +272,13 @@ def test_paradiff_dno_symbol_is_multiplier_in_1d():
 def test_bony_remainder_theta_one_pair_vanishes():
     k, ell = 32, 3  # k + ell stays inside the 2/3 dealias band
     a, u = cexp(GRID, ell), cexp(GRID, k)
-    r = bony_remainder(a, u, CUT)
+    r = bony_remainder(a, u)
     assert np.max(np.abs(r.values)) < 1e-12
 
 
 def test_bony_remainder_comparable_pair_is_product():
     a = cexp(GRID, 1)
-    r = bony_remainder(a, a, CUT)
+    r = bony_remainder(a, a)
     assert np.allclose(r.values, cexp(GRID, 2).values, atol=1e-12)
 
 
@@ -285,7 +286,7 @@ def test_bony_remainder_constant_symbol_is_lowpass():
     c = 2.5
     u = field_from_function(GRID, lambda x: np.cos(12 * x) + 0.5)
     a = Field(GRID, np.full(GRID.shape, c))
-    r = bony_remainder(a, u, CUT)
+    r = bony_remainder(a, u)
     # c*(1 - psi(D)) u : the high mode (psi = 1) is annihilated, the mean kept
     expected = c * 0.5 * np.ones(GRID.shape)
     assert np.allclose(r.values, expected, atol=1e-12)
@@ -311,7 +312,7 @@ def test_remainder_smoothing_on_rough_data():
     from wavestrip.ulspaces import dyadic_block
 
     prod = dealiased_product(a, u)
-    rem = bony_remainder(a, u, CUT)
+    rem = bony_remainder(a, u)
     js = np.arange(3, 7)  # high blocks inside the dealias band
     slope = lambda f: np.polyfit(
         js, [np.log2(max(norm_l2(dyadic_block(f, int(j), dd)), 1e-300)) for j in js], 1
@@ -328,8 +329,8 @@ def test_composition_order_gain():
     ratios, ks = [], [8, 16, 32]
     for k in ks:
         u = cexp(GRID, k)
-        taa = paradiff_apply(sym_a, paradiff_apply(sym_a, u, CUT), CUT)
-        ta2 = paradiff_apply(sym_a2, u, CUT)
+        taa = paradiff_apply(sym_a, paradiff_apply(sym_a, u))
+        ta2 = paradiff_apply(sym_a2, u)
         ratios.append(norm_l2(taa - ta2) / norm_l2(ta2))
     slope = np.polyfit(np.log(ks), np.log(ratios), 1)[0]
     assert slope <= -1.0 + 0.2
@@ -383,7 +384,7 @@ def test_symbol_pole_raises_in_every_tabulation():
     u = Field(grid, np.random.default_rng(3).normal(size=grid.shape))
     bad = r"wavenumbers \[\[-?5\.0\], \[-?5\.0\]\]$"
     with pytest.raises(SymbolDomainError, match=bad):
-        paradiff_apply(sym, u, CUT)
+        paradiff_apply(sym, u)
     with pytest.raises(SymbolDomainError, match=bad):
         symbol_seminorm(sym, grid)
 
@@ -397,11 +398,10 @@ def test_symbol_homogeneity_defect_small():
 
 
 def test_cutoff_pair_support_conditions():
-    cut = CutoffPair()
-    assert cut.psi(1.0) == 1.0 and cut.psi(2.0) == 1.0
-    assert cut.psi(0.5) == 0.0 and cut.psi(0.0) == 0.0
-    assert float(cut.theta(0.05 * 10, 10.0)) == 1.0
-    assert float(cut.theta(0.25 * 10, 10.0)) == 0.0
+    assert cutoff_psi(1.0) == 1.0 and cutoff_psi(2.0) == 1.0
+    assert cutoff_psi(0.5) == 0.0 and cutoff_psi(0.0) == 0.0
+    assert float(cutoff_theta(0.05 * 10, 10.0)) == 1.0
+    assert float(cutoff_theta(0.25 * 10, 10.0)) == 0.0
     grid_t = np.linspace(0, 3, 50)
-    vals = cut.theta(grid_t, np.ones_like(grid_t))
+    vals = cutoff_theta(grid_t, np.ones_like(grid_t))
     assert np.all((0.0 <= vals) & (vals <= 1.0))

@@ -238,6 +238,19 @@ def test_integrate_elliptic_failure_ends_with_status():
     assert len(traj.states) == 1 and len(traj.records) == 1
 
 
+def test_integrate_taylor_sign_failure_ends_with_status():
+    # at g = 0 the rest state has a = 0: the Taylor monitor lets it pass
+    # (a < 0 trips it), but the symmetrizer needs a > 0
+    rest = rest_state()
+    state = SurfaceState(eta=rest.eta, psi=rest.psi, g=0.0)
+    cfg = StepConfig(dt=0.05, dno=DNO, taylor_every=1, symmetrized_s=1.0)
+    traj = integrate(state, 0.1, cfg)
+    assert traj.status.startswith(
+        "aborted: TaylorSignError: Taylor coefficient must be positive, min = 0")
+    assert len(traj.states) == 1 and not traj.records
+    assert integrate(state, 0.1, StepConfig(dt=0.05, dno=DNO, taylor_every=1)).status == "ok"
+
+
 def test_integrate_rejects_partial_final_step():
     cfg = StepConfig(dt=0.1, dno=DNO, taylor_every=None)
     with pytest.raises(ValueError, match="whole number of steps"):

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavestrip.core import SurfaceState, TraceFields, analyze_state
+from wavestrip.core import SurfaceState, TraceFields, analyze_state, trace_velocities
 from wavestrip.dno import DNOParams, straighten
 from wavestrip.grid import Field, bessel_potential, field_from_function, make_grid, norm_l2
-from wavestrip.paradiff import CutoffPair
+from wavestrip.paradiff import cutoff_psi, cutoff_theta
 from wavestrip.symmetrizer import (
     EllipticityError,
     SymmetrizedPair,
@@ -22,7 +22,6 @@ from wavestrip.ulspaces import PartitionOfUnity
 
 GRID = make_grid([2 * np.pi], [128])
 PARAMS = DNOParams(h=1.0, zpoints=40)
-CUT = CutoffPair()
 POU = PartitionOfUnity(GRID)
 
 
@@ -34,15 +33,15 @@ def make_state(eta_fn, psi_fn, g=1.0):
 def test_good_unknowns_rest():
     state = make_state(lambda x: 0.0 * x, lambda x: 0.0 * x)
     traces, _ = analyze_state(state, PARAMS)
-    us, zs = good_unknowns(state, traces, 2.0, CUT)
+    us, zs = good_unknowns(state, traces, 2.0)
     assert norm_l2(us[0]) < 1e-12
     assert norm_l2(zs[0]) < 1e-12
 
 
 def test_good_unknowns_flat_surface_reduction():
     state = make_state(lambda x: 0.0 * x, lambda x: np.sin(2 * x))
-    traces, _ = analyze_state(state, PARAMS, with_taylor=False)
-    us, _ = good_unknowns(state, traces, 1.5, CUT)
+    traces, _ = trace_velocities(state, PARAMS)
+    us, _ = good_unknowns(state, traces, 1.5)
     expected = bessel_potential(traces.V[0], 1.5)
     assert np.max(np.abs(us[0].values - expected.values)) < 1e-11
 
@@ -51,8 +50,8 @@ def test_good_unknowns_against_truncated_series_oracle():
     """T_zeta <D>^s B evaluated by the closed-form exponential-pair weights."""
     s = 2.0
     state = make_state(lambda x: 0.05 * np.cos(x), lambda x: np.sin(x))
-    traces, _ = analyze_state(state, PARAMS, with_taylor=False)
-    us, _ = good_unknowns(state, traces, s, CUT)
+    traces, _ = trace_velocities(state, PARAMS)
+    us, _ = good_unknowns(state, traces, s)
 
     bs = bessel_potential(traces.B, s)
     zeta_hat = np.fft.fftn(np.gradient(state.eta.values,
@@ -73,11 +72,12 @@ def test_good_unknowns_against_truncated_series_oracle():
         for m in range(n):  # function modes, truncated at the spectral floor
             if abs(b_hat[m]) < 1e-13:
                 continue
-            w = float(CUT.theta(abs(ks[j]), abs(ks[m]))) * float(CUT.psi(abs(ks[m])))
+            w = float(cutoff_theta(abs(ks[j]), abs(ks[m]))) * float(cutoff_psi(abs(ks[m])))
             if w == 0.0:
                 continue
             acc += w * zeta_hat[j] * b_hat[m] * np.exp(1j * (ks[j] + ks[m]) * x)
     oracle = bessel_potential(traces.V[0], s).values + acc.real
+    assert all(u.is_real for u in us)
     assert np.max(np.abs(us[0].values - oracle)) < 1e-8
 
 
@@ -127,11 +127,11 @@ def test_theta_field_zero_and_rest_mode():
     zeta0 = (Field(GRID, np.zeros(GRID.shape)),)
     eta = Field(GRID, np.zeros(GRID.shape))
     _, q = symmetrizer_symbols(Field(GRID, np.ones(GRID.shape)), eta)
-    assert norm_l2(theta_field(zeta0, q, CUT)[0]) < 1e-13
+    assert norm_l2(theta_field(zeta0, q)[0]) < 1e-13
     k = 9
     x = GRID.axes()[0]
     zs = (Field(GRID, np.cos(k * x)),)
-    out = theta_field(zs, q, CUT)[0]
+    out = theta_field(zs, q)[0]
     assert np.max(np.abs(out.values - np.cos(k * x) / np.sqrt(k))) < 1e-11
 
 
@@ -143,7 +143,7 @@ def test_theta_dual_realization_cross_check():
     eta = field_from_function(GRID, lambda xx: 0.03 * np.cos(xx))
     _, q = symmetrizer_symbols(a, eta)
     zs = Field(GRID, np.cos(11 * x) + 0.5 * np.sin(5 * x))
-    general = theta_field((zs,), q, CUT)[0]
+    general = theta_field((zs,), q)[0]
     from paradiff_reference import separable_apply
 
     sqrt_a = Field(GRID, np.sqrt(a.values))
@@ -152,7 +152,7 @@ def test_theta_dual_realization_cross_check():
         k2 = np.sum(km ** 2, axis=0)
         return np.where(k2 > 0, np.maximum(k2, 1e-300) ** -0.25, 0.0)
 
-    factored = separable_apply(sqrt_a, inv_sqrt_mod, zs, CUT).real
+    factored = separable_apply(sqrt_a, inv_sqrt_mod, zs).real
     assert np.max(np.abs(general.values - factored.values)) < 1e-8
 
 
@@ -219,6 +219,6 @@ def test_symmetrized_energy_rest_and_scaling():
 def test_symmetrized_pair_assembly():
     state = make_state(lambda x: 0.02 * np.cos(x), lambda x: 0.02 * np.sin(x))
     traces, _ = analyze_state(state, PARAMS)
-    pair = symmetrized_pair(state, traces, 2.0, CUT)
+    pair = symmetrized_pair(state, traces, 2.0)
     assert len(pair.Us) == 1 and len(pair.theta_s) == 1
     assert symmetrized_energy(pair, POU)[2] > 0.0
