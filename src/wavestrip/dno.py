@@ -624,8 +624,4 @@ def dno_principal_symbol(eta: Field) -> ParaSymbol:
 
 def dno_remainder(eta: Field, psi: Field, params: DNOParams = DNOParams()) -> Field:
     """R(eta) psi = G(eta) psi - T_lambda psi."""
-    g = dirichlet_neumann(eta, psi, params)
-    t = paradiff_apply(dno_principal_symbol(eta), psi)
-    if psi.is_real:
-        t = t.real
-    return g - t
+    return dirichlet_neumann(eta, psi, params) - paradiff_apply(dno_principal_symbol(eta), psi)

@@ -192,10 +192,6 @@ class Field:
     def is_real(self) -> bool:
         return not np.iscomplexobj(self.values)
 
-    @property
-    def real(self) -> "Field":
-        return Field(self.grid, np.real(self.values))
-
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())
 

@@ -16,7 +16,9 @@ One private kernel evaluates T_a u exactly as the matrix product
 at the column's eta, in fixed-size chunks of eta columns and only on the
 pairs where theta is not zero.  ``paraproduct`` (a = a(x)) and
 ``paradiff_apply`` (a = a(x, xi), tabulated at every lattice eta) both call
-it.
+it.  Its band is symmetric: along each axis the Nyquist index, which has no
+mirror, is neither a row xi nor a column eta, and |xi - eta| < N/2; so a
+Hermitian symbol maps real data to a real T_a u.
 
 A symbol is evaluated on stacks of wavenumbers: ``ParaSymbol.eval(x_meshes,
 xis)`` takes xis of shape (m, d) and returns values broadcastable to
@@ -69,7 +71,9 @@ class ParaSymbol:
     ``eval(x_meshes, xis)`` takes a stack of wavenumber vectors, shape (m, d),
     and returns values broadcastable to (m, *grid.shape), row i holding
     a(x, xis[i]).  Homogeneous symbols are undefined at xi = 0, advertise
-    that with the flag, and are never evaluated there.
+    that with the flag, and are never evaluated there.  Symbols are
+    Hermitian, a(x, -xi) = conj a(x, xi), as lambda, gamma, q, |xi|, <xi>,
+    |xi|^2, i xi_1 and b(x) h(xi) with b real and h Hermitian are.
     """
 
     order: float
@@ -136,28 +140,31 @@ def _symbol_table(sym: ParaSymbol, grid: PeriodicGrid, xis: np.ndarray) -> np.nd
     Rows at xi = 0 of a homogeneous symbol, where it is undefined, stay zero
     and are never evaluated; the others are checked like ParaSymbol.values.
     """
-    table = np.zeros((len(xis),) + grid.shape, dtype=complex)
     rows = np.any(xis != 0.0, axis=1) if sym.homogeneous else slice(None)
-    table[rows] = sym._rows(grid, xis[rows])
+    vals = sym._rows(grid, xis[rows])
+    table = np.zeros((len(xis),) + grid.shape, dtype=np.result_type(vals, float))
+    table[rows] = vals
     return table
 
 
 def _lattice_apply(u: Field, column_spectra) -> np.ndarray:
     """Spectrum of T_a u = (Theta o C) (psi u^) / N.
 
-    Theta[xi, eta] = theta(|xi - eta|, |eta|) where the true difference
-    xi - eta lies in the resolved band (0 elsewhere), and C[xi, eta] =
-    c^_eta((xi - eta) mod N).  ``column_spectra(k_eta)`` maps the wavenumbers
-    of a chunk of columns (shape (m, d)) to the spectra c^_eta, shape
-    (m, *grid.shape), or to one spectrum of shape grid.shape shared by all.
-    Only columns with psi(eta) u^(eta) != 0 enter, and since theta vanishes
-    for |xi - eta| >= EPS2 |eta| only the pairs inside that ball are formed.
+    Theta[xi, eta] = theta(|xi - eta|, |eta|) where |xi|, |eta| and
+    |xi - eta| are below N/2 along each axis in signed lattice indices (0
+    elsewhere), and C[xi, eta] = c^_eta((xi - eta) mod N).
+    ``column_spectra(k_eta)`` maps the wavenumbers of a chunk of columns
+    (shape (m, d)) to the spectra c^_eta, shape (m, *grid.shape), or to one
+    spectrum of shape grid.shape shared by all.  Only columns with
+    psi(eta) u^(eta) != 0 enter, and since theta vanishes for
+    |xi - eta| >= EPS2 |eta| only the pairs inside that ball are formed.
     """
     grid = u.grid
     weights = (cutoff_psi(grid.abs_wavenumber()) * fft(u)).ravel()
     active = np.flatnonzero(weights)
     # signed lattice index of the nodes along each axis, in FFT order
     signed = [(np.arange(n) + n // 2) % n - n // 2 for n in grid.points]
+    inside = [np.abs(s) < n // 2 for s, n in zip(signed, grid.points)]  # not Nyquist
     scale = [2.0 * np.pi / L for L in grid.lengths]
     out = np.zeros(grid.size, dtype=complex)
     per_chunk = max(1, _CHUNK_PAIRS // grid.size)
@@ -172,7 +179,7 @@ def _lattice_apply(u: Field, column_spectra) -> np.ndarray:
             along = [1] * (grid.dim + 1)
             along[ax] = n
             diff = signed[ax].reshape(along) - signed[ax][cols[ax]]
-            ok = (diff >= -(n // 2)) & (diff < n // 2)
+            ok = inside[ax].reshape(along) & inside[ax][cols[ax]] & (np.abs(diff) < n // 2)
             zeta2 = zeta2 + np.where(ok, (diff * scale[ax]) ** 2, np.inf)
         *xi, col = np.nonzero(zeta2 < (EPS2 * eta_abs) ** 2)
         zeta = tuple((x - c[col]) % n for x, c, n in zip(xi, cols, grid.points))
@@ -200,7 +207,7 @@ def paradiff_apply(sym: ParaSymbol, u: Field) -> Field:
     axes = tuple(range(1, grid.dim + 1))
     out = _lattice_apply(
         u, lambda k_eta: sfft.fftn(_symbol_table(sym, grid, k_eta), axes=axes))
-    return ifft(grid, out)
+    return ifft(grid, out, real=u.is_real)
 
 
 def bony_remainder(a: Field, u: Field) -> Field:

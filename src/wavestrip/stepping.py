@@ -26,7 +26,7 @@ from wavestrip.core import (
 )
 from wavestrip.dno import DNOParams, DNOSolution, EllipticSolveError, StraighteningError
 from wavestrip.grid import Field, heat_propagator, norm_l2
-from wavestrip.symmetrizer import TaylorSignError, symmetrized_energy, symmetrized_pair
+from wavestrip.symmetrizer import symmetrized_energy, symmetrized_pair
 from wavestrip.ulspaces import PartitionOfUnity, ul_sobolev_norm
 
 
@@ -88,10 +88,11 @@ class DiagnosticsRecord:
     mass: float
     min_depth: float
     min_taylor: float  # nan on steps where the pressure solve is skipped
-    symmetrized_energy: float
+    symmetrized_energy: float  # nan unless min_taylor > TAYLOR_FLOOR
     ul_norms: dict[str, float] = dc_field(default_factory=dict)
-    # "potential_iterations" and "potential_residual": GMRES iterations and
-    # true relative residual of the state's potential solve
+    # of the state's potential solve: GMRES "potential_iterations", true
+    # relative "potential_residual", and the "potential_delta" (after any
+    # halvings) and "potential_min_dz_rho" (min d_z rho) of its straightening
     extra: dict[str, float] = dc_field(default_factory=dict)
 
 
@@ -212,18 +213,15 @@ def _diagnose(state: SurfaceState, cfg: StepConfig, sol: DNOSolution,
               step_index: int, pou: PartitionOfUnity | None) -> DiagnosticsRecord:
     ham = hamiltonian(state, cfg.dno, sol=sol)
     monitored = cfg.taylor_every is not None and step_index % cfg.taylor_every == 0
-    min_taylor = np.nan
+    min_taylor = sym_energy = np.nan
     if monitored or cfg.symmetrized_s is not None:
-        # one pressure solve serves the monitor and the symmetrizer
-        a_field, a_min = taylor_coefficient(state, sol, cfg.dno)
-        if monitored:
-            min_taylor = a_min
-    sym_energy = np.nan
-    if cfg.symmetrized_s is not None:
-        traces, _ = trace_velocities(state, cfg.dno, sol=sol)
-        traces.a = a_field
-        pair = symmetrized_pair(state, traces, cfg.symmetrized_s)
-        sym_energy = symmetrized_energy(pair, pou)[2]
+        # one pressure solve serves the monitor and the symmetrizer (a > 0)
+        a_field, min_taylor = taylor_coefficient(state, sol, cfg.dno)
+        if cfg.symmetrized_s is not None and min_taylor > TAYLOR_FLOOR:
+            traces, _ = trace_velocities(state, cfg.dno, sol=sol)
+            traces.a = a_field
+            pair = symmetrized_pair(state, traces, cfg.symmetrized_s)
+            sym_energy = symmetrized_energy(pair, pou)[2]
     ul_norms = {}
     for s in cfg.ul_norm_s:
         ul_norms[f"eta_H{s}"] = ul_sobolev_norm(state.eta, s, pou)
@@ -233,7 +231,9 @@ def _diagnose(state: SurfaceState, cfg: StepConfig, sol: DNOSolution,
         min_depth=state.min_depth(), min_taylor=float(min_taylor),
         symmetrized_energy=float(sym_energy), ul_norms=ul_norms,
         extra={"potential_iterations": sol.phi.iterations,
-               "potential_residual": sol.phi.residual},
+               "potential_residual": sol.phi.residual,
+               "potential_delta": sol.dom.delta,
+               "potential_min_dz_rho": float(np.min(sol.dom.drho_z))},
     )
 
 
@@ -243,9 +243,11 @@ def integrate(state: SurfaceState, T: float, cfg: StepConfig, sink=None,
 
     T must be a nonnegative whole number of steps.  Monitor violations and
     solver failures (elliptic stall, straightening, CFL) return the trajectory
-    up to the failure with a non-ok status.  A canal of width w with vertical
-    walls is run as is: its data, extended evenly across the walls, is
-    2w-periodic in y, and that symmetry is kept by the flow.
+    up to the failure with a non-ok status; a step that forms the Taylor
+    coefficient (with symmetrized_s set, every step) and finds min a <=
+    TAYLOR_FLOOR keeps its record, then aborts.  A canal of width w with
+    vertical walls is run as is: its data, extended evenly across the walls,
+    is 2w-periodic in y, and that symmetry is kept by the flow.
     """
     if T < 0:
         raise ValueError(f"T = {T:.6g} is negative")
@@ -272,9 +274,9 @@ def integrate(state: SurfaceState, T: float, cfg: StepConfig, sink=None,
                 raise MonitorAbort(
                     f"depth monitor: min depth {rec.min_depth:.4g} < "
                     f"floor {depth_floor:.4g} at t = {current.t:.6g}")
-            if np.isfinite(rec.min_taylor) and rec.min_taylor < TAYLOR_FLOOR:
+            if rec.min_taylor <= TAYLOR_FLOOR:
                 raise MonitorAbort(
-                    f"Taylor monitor: min a {rec.min_taylor:.4g} < "
+                    f"Taylor monitor: min a {rec.min_taylor:.4g} <= "
                     f"floor {TAYLOR_FLOOR:.4g} at t = {current.t:.6g}")
             if step_index == n_steps:
                 break
@@ -286,8 +288,7 @@ def integrate(state: SurfaceState, T: float, cfg: StepConfig, sink=None,
         except (MonitorAbort, StepError) as exc:
             status = f"aborted: {exc}"
             break
-        except (CFLError, EllipticSolveError, StraighteningError,
-                TaylorSignError) as exc:
+        except (CFLError, EllipticSolveError, StraighteningError) as exc:
             status = f"aborted: {type(exc).__name__}: {exc}"
             break
     return Trajectory(states=states, records=records, status=status)

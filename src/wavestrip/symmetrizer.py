@@ -71,7 +71,7 @@ def symmetrizer_symbols(a: Field, eta: Field) -> tuple[ParaSymbol, ParaSymbol]:
 
 def theta_field(zeta_s: tuple[Field, ...], q_sym: ParaSymbol) -> tuple[Field, ...]:
     """theta_s = T_q zeta_s, componentwise."""
-    return tuple(paradiff_apply(q_sym, z).real for z in zeta_s)
+    return tuple(paradiff_apply(q_sym, z) for z in zeta_s)
 
 
 def symmetrized_pair(state: SurfaceState, traces: TraceFields, s: float

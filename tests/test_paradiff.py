@@ -28,23 +28,25 @@ def reference_apply(column_hat, u):
 
     For every lattice eta with psi(eta) u^(eta) != 0 it rolls the symbol
     spectrum c^_eta = column_hat(k_eta) onto xi = eta + zeta, weights it by
-    theta on the resolved differences and accumulates; no vectorization.
+    theta on the symmetric band and accumulates; no vectorization.  The band
+    keeps, along every axis, |eta| < Nyquist, |xi| < Nyquist and
+    |xi - eta| < Nyquist.
     """
     grid = u.grid
     u_hat = np.fft.fftn(u.values)
     km = grid.wavenumber_meshes()
+    nyq = [np.pi * n / L for n, L in zip(grid.points, grid.lengths)]
     out = np.zeros(grid.shape, dtype=complex)
     for multi in np.ndindex(*grid.shape):
         k_eta = np.array([grid.wavenumbers[ax][i] for ax, i in enumerate(multi)])
         weight = float(cutoff_psi(np.linalg.norm(k_eta))) * u_hat[multi]
-        if weight == 0.0:
+        if weight == 0.0 or np.any(np.abs(k_eta) > np.array(nyq) - 1e-12):
             continue
         mask = np.ones(grid.shape, dtype=bool)
         z2 = np.zeros(grid.shape)
         for ax in range(grid.dim):
-            nyq = np.pi * grid.points[ax] / grid.lengths[ax]
             delta = km[ax] - k_eta[ax]
-            mask &= (delta >= -nyq - 1e-12) & (delta < nyq - 1e-12)
+            mask &= (np.abs(km[ax]) < nyq[ax] - 1e-12) & (np.abs(delta) < nyq[ax] - 1e-12)
             z2 = z2 + delta ** 2
         th = np.where(mask, cutoff_theta(np.sqrt(z2), np.linalg.norm(k_eta)), 0.0)
         out += th * np.roll(column_hat(k_eta), multi, axis=tuple(range(grid.dim))) * weight
@@ -99,6 +101,58 @@ def test_paradiff_apply_matches_per_mode_reference(case):
         for arg in (u, uc):
             ref = reference_apply(symbol_column_hat(sym, grid), arg)
             assert rel_err(paradiff_apply(sym, arg).values, ref) < 1e-13
+
+
+def hermitian_defect(spec):
+    """max |s^(xi) - conj s^(-xi)| / max |s^|; 0 for the spectrum of real data."""
+    mirror = np.roll(np.flip(spec), 1, axis=tuple(range(spec.ndim)))
+    return np.max(np.abs(spec - np.conj(mirror))) / np.max(np.abs(spec))
+
+
+@pytest.mark.parametrize("lengths, points", [
+    ([2 * np.pi], [64]), ([2 * np.pi] * 2, [32, 32]), ([2 * np.pi] * 2, [8, 64]),
+    ([2 * np.pi, 3 * np.pi], [16, 24])], ids=["1d64", "2d32", "2d8x64", "2d16x24"])
+def test_kernel_spectrum_is_hermitian_on_white_noise(lengths, points, monkeypatch):
+    # the spectrum handed to ifft, before any projection to real values
+    from wavestrip import paradiff
+    from wavestrip.dno import dno_principal_symbol
+    from wavestrip.symmetrizer import symmetrizer_symbols
+
+    spectra = []
+
+    def keep_spectrum(grid, spec, real=False):
+        spectra.append(spec)
+        return Field(grid, np.fft.ifftn(spec))
+
+    monkeypatch.setattr(paradiff, "ifft", keep_spectrum)
+    grid = make_grid(lengths, points)
+    x = grid.meshes()
+    rng = np.random.default_rng(11)
+    a, u = (Field(grid, rng.normal(size=grid.shape)) for _ in range(2))
+    eta = Field(grid, 0.1 * np.cos(x[0]) + 0.05 * np.sin(sum(x)))
+    _, q = symmetrizer_symbols(Field(grid, 1.0 + 0.2 * np.cos(x[-1])), eta)
+    paraproduct(a, u)
+    paradiff_apply(dno_principal_symbol(eta), u)
+    paradiff_apply(q, u)
+    assert len(spectra) == 3
+    for spec in spectra:
+        assert hermitian_defect(spec) <= 1e-14
+
+
+@pytest.mark.parametrize("lengths, points, mode", [
+    ([2 * np.pi], [64], (32,)), ([2 * np.pi, 3 * np.pi], [16, 24], (8, 2 / 3)),
+    ([2 * np.pi, 3 * np.pi], [16, 24], (1, 8))], ids=["1d64", "2d16x24-x", "2d16x24-y"])
+def test_nyquist_mode_has_no_paradifferential_image(lengths, points, mode):
+    from wavestrip.dno import dno_principal_symbol
+
+    grid = make_grid(lengths, points)
+    x = grid.meshes()
+    u = Field(grid, np.cos(sum(k * xi for k, xi in zip(mode, x))))
+    a = Field(grid, 1.0 + 0.5 * np.cos(x[0]) + 0.3 * np.sin(x[-1]))
+    eta = Field(grid, 0.1 * np.cos(x[0]))
+    for out in (paraproduct(a, u), paradiff_apply(dno_principal_symbol(eta), u)):
+        assert out.is_real
+        assert np.max(np.abs(out.values)) < 1e-13
 
 
 def test_paraproduct_memory_bound_2d():
@@ -187,8 +241,9 @@ def test_frequency_localization_single_mode():
 
 
 def test_blockwise_agrees_where_both_exact():
-    # ratios <= 1/16 make theta = 1 in both realizations
-    k, ell = 64, 3
+    # ratios <= 1/16 make theta = 1 in both realizations; k + ell stays
+    # below the Nyquist mode 64, which the lattice kernel leaves out
+    k, ell = 60, 3
     a, u = cexp(GRID, ell), cexp(GRID, k)
     direct = paraproduct(a, u)
     block = paraproduct_blockwise(a, u, DD)

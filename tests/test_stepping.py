@@ -239,16 +239,29 @@ def test_integrate_elliptic_failure_ends_with_status():
 
 
 def test_integrate_taylor_sign_failure_ends_with_status():
-    # at g = 0 the rest state has a = 0: the Taylor monitor lets it pass
-    # (a < 0 trips it), but the symmetrizer needs a > 0
+    # at g = 0 the rest state has a = 0, which the paper's strict condition
+    # a > 0 excludes; with or without the symmetrizer the run ends on the
+    # monitor and keeps the record of the failing step
     rest = rest_state()
     state = SurfaceState(eta=rest.eta, psi=rest.psi, g=0.0)
-    cfg = StepConfig(dt=0.05, dno=DNO, taylor_every=1, symmetrized_s=1.0)
-    traj = integrate(state, 0.1, cfg)
-    assert traj.status.startswith(
-        "aborted: TaylorSignError: Taylor coefficient must be positive, min = 0")
-    assert len(traj.states) == 1 and not traj.records
-    assert integrate(state, 0.1, StepConfig(dt=0.05, dno=DNO, taylor_every=1)).status == "ok"
+    for cfg in (StepConfig(dt=0.05, dno=DNO, taylor_every=1, symmetrized_s=1.0),
+                StepConfig(dt=0.05, dno=DNO, taylor_every=1)):
+        sunk = []
+        traj = integrate(state, 0.1, cfg, sink=sunk.append)
+        assert traj.status == "aborted: Taylor monitor: min a 0 <= floor 0 at t = 0"
+        assert len(traj.states) == 1 and traj.records == sunk
+        assert len(sunk) == 1 and sunk[0].min_taylor == 0.0
+        assert np.isnan(sunk[0].symmetrized_energy)
+
+
+def test_symmetrized_runs_record_taylor_on_every_step():
+    # the symmetrizer forms a on every step, so every record carries it,
+    # not only the taylor_every-th ones
+    cfg = StepConfig(dt=0.05, dno=DNO, taylor_every=5, symmetrized_s=1.0)
+    traj = integrate(linear_wave_state(), 2 * cfg.dt, cfg)
+    assert traj.status == "ok"
+    for rec in traj.records:
+        assert rec.min_taylor > 0.5 and np.isfinite(rec.symmetrized_energy)
 
 
 def test_integrate_rejects_partial_final_step():
@@ -358,6 +371,19 @@ def test_records_carry_potential_solve_residual():
     residuals = [rec.extra["potential_residual"] for rec in traj.records]
     assert len(residuals) == 4
     assert all(0.0 <= r <= max(50.0 * DNO.tol, 1e-13) for r in residuals)
+
+
+def test_records_carry_straightening_delta_after_halvings():
+    # delta 3 folds the strip over this surface, so straighten_adaptive
+    # halves it before the solve; the record says which delta was used
+    x = GRID.axes()[0]
+    steep = SurfaceState(eta=Field(GRID, 0.2 * np.cos(8 * x)), psi=Field(GRID, 0.0 * x))
+    for state, params, delta in ((steep, DNOParams(h=1.0, delta=3.0, zpoints=24), 3.0 / 16),
+                                 (linear_wave_state(), DNO, DNO.delta)):
+        cfg = StepConfig(dt=0.01, dno=params, taylor_every=None)
+        rec, = integrate(state, 0.0, cfg).records
+        assert rec.extra["potential_delta"] == delta
+        assert 0.5 <= rec.extra["potential_min_dz_rho"] < 1.0
 
 
 def test_integrate_default_params_runs():

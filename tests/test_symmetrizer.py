@@ -152,8 +152,8 @@ def test_theta_dual_realization_cross_check():
         k2 = np.sum(km ** 2, axis=0)
         return np.where(k2 > 0, np.maximum(k2, 1e-300) ** -0.25, 0.0)
 
-    factored = separable_apply(sqrt_a, inv_sqrt_mod, zs).real
-    assert np.max(np.abs(general.values - factored.values)) < 1e-8
+    factored = separable_apply(sqrt_a, inv_sqrt_mod, zs).values.real
+    assert np.max(np.abs(general.values - factored)) < 1e-8
 
 
 def test_decoupling_flat_cases():
