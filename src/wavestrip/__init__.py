@@ -1,10 +1,12 @@
 """Pseudo-spectral gravity water waves on a boundary-straightened strip.
 
 Modules cover the periodic spectral substrate (``grid``), uniformly local
-norm machinery (``ulspaces``), paradifferential operators (``paradiff``), the
-straightened Dirichlet-Neumann solver (``dno``), the surface evolution system
-(``core``), symmetrizer diagnostics (``symmetrizer``), and time integration
-(``stepping``).
+and Hoelder norms (``ulspaces``), the paraproduct and paradifferential
+operators (``paradiff``), the straightened Dirichlet-Neumann solver
+(``dno``), the surface evolution system with its Taylor coefficient
+(``core``), the symmetrized energy (``symmetrizer``), and time integration
+(``stepping``).  Every module serves ``stepping.integrate``; checks that only
+the tests call live with the tests.
 """
 
 from wavestrip.grid import Field, PeriodicGrid, make_grid

@@ -19,6 +19,10 @@ bottom flux -conormal(|grad Phi|^2/2) without the -g, and
 a = g - (1/d_z rho) d_z Q at z = 0.  Q carries no O(g) hydrostatic part,
 which would otherwise dominate the solution and hold GMRES at its rounding
 floor, and the rest state gives Q = 0 and a = g exactly.
+
+``trace_velocities`` and ``taylor_coefficient`` share one potential solve:
+the first gives the surface velocities B and V, the second a from that
+solve's domain and potential.
 """
 
 from __future__ import annotations
@@ -73,11 +77,6 @@ class TraceFields:
     B: Field
     V: tuple[Field, ...]
     a: Field | None = None
-
-    def min_taylor(self) -> float:
-        if self.a is None:
-            raise ValueError("Taylor coefficient not computed")
-        return float(np.min(self.a.values))
 
 
 def _vertical_velocity_parts(state: SurfaceState, sol: DNOSolution):
@@ -158,14 +157,6 @@ def taylor_coefficient(state: SurfaceState, sol: DNOSolution,
     return a, float(np.min(a_vals))
 
 
-def analyze_state(state: SurfaceState, params: DNOParams = DNOParams()
-                  ) -> tuple[TraceFields, DNOSolution]:
-    """Traces plus Taylor coefficient with a single potential solve."""
-    traces, sol = trace_velocities(state, params)
-    traces.a, _ = taylor_coefficient(state, sol, params)
-    return traces, sol
-
-
 def hamiltonian(state: SurfaceState, params: DNOParams = DNOParams(),
                 sol: DNOSolution | None = None) -> float:
     """Conserved energy (psi, G(eta) psi)/2 + g/2 * integral of eta^2."""
@@ -179,71 +170,3 @@ def hamiltonian(state: SurfaceState, params: DNOParams = DNOParams(),
 
 def mass(state: SurfaceState) -> float:
     return float(np.sum(state.eta.values) * state.eta.grid.cell_volume)
-
-
-@dataclass
-class ReformulatedResiduals:
-    """Discrete residuals of the transport reformulation along a trajectory."""
-
-    r_B: Field
-    r_V: tuple[Field, ...]
-    r_zeta: tuple[Field, ...]
-    norms: dict[str, float]
-
-
-def _advect(V: tuple[Field, ...], f: Field) -> Field:
-    out = None
-    for vi, gi in zip(V, spectral_gradient(f)):
-        term = dealiased_product(vi, gi)
-        out = term if out is None else out + term
-    return out
-
-
-def reformulated_residuals(prev: SurfaceState, cur: SurfaceState,
-                           nxt: SurfaceState,
-                           params: DNOParams = DNOParams()
-                           ) -> ReformulatedResiduals:
-    """Centered-in-time residuals of the (B, V, zeta) transport equations.
-
-    The zeta-equation residual is the measured smoothing remainder of the
-    curvature transport identity; its norms are reported rather than bounded.
-    """
-    dt_f = nxt.t - cur.t
-    dt_b = cur.t - prev.t
-    if dt_f <= 0 or abs(dt_f - dt_b) > 1e-12 * max(dt_f, dt_b):
-        raise ValueError("states must be uniformly spaced in time")
-    params = cur.dno_params(params)
-
-    tr_prev, _ = trace_velocities(prev, params)
-    tr_next, _ = trace_velocities(nxt, params)
-    traces, sol = analyze_state(cur, params)
-    grid = cur.eta.grid
-    two_dt = dt_f + dt_b
-
-    r_B = Field(grid, (tr_next.B.values - tr_prev.B.values) / two_dt) \
-        + _advect(traces.V, traces.B) - (traces.a - cur.g)
-
-    r_V = []
-    for i, vi in enumerate(traces.V):
-        dv = Field(grid, (tr_next.V[i].values - tr_prev.V[i].values) / two_dt)
-        zeta_i = spectral_gradient(cur.eta)[i]
-        r_V.append(dv + _advect(traces.V, vi) + dealiased_product(traces.a, zeta_i))
-
-    zeta_prev = spectral_gradient(prev.eta)
-    zeta_next = spectral_gradient(nxt.eta)
-    zeta_cur = spectral_gradient(cur.eta)
-    gb = dno_solve(cur.eta, traces.B, params, dom=sol.dom).gpsi
-    r_zeta = []
-    for i in range(grid.dim):
-        dz = Field(grid, (zeta_next[i].values - zeta_prev[i].values) / two_dt)
-        gv = dno_solve(cur.eta, traces.V[i], params, dom=sol.dom).gpsi
-        r_zeta.append(dz + _advect(traces.V, zeta_cur[i])
-                      - gv - dealiased_product(zeta_cur[i], gb))
-
-    norms = {"B": norm_l2(r_B)}
-    for i, f in enumerate(r_V):
-        norms[f"V{i}"] = norm_l2(f)
-    for i, f in enumerate(r_zeta):
-        norms[f"zeta{i}"] = norm_l2(f)
-    return ReformulatedResiduals(r_B=r_B, r_V=tuple(r_V), r_zeta=tuple(r_zeta),
-                                 norms=norms)

@@ -23,8 +23,8 @@ reuses the half spectrum the preconditioner formed it from.  A solve returns
 once the true relative residual |b - A x| / |b| is at most tol; that
 residual is formed at the end of each cycle of at most 80 iterations, and
 the next cycle restarts from it, for at most ceil(maxiter / 80) cycles.  A
-strip solve takes real data only (G(eta) is a real operator;
-dirichlet_neumann solves the parts of complex psi apart) and returns the
+strip solve takes real data only (G(eta) is a real operator, so a caller
+with complex psi solves its real and imaginary parts apart) and returns the
 solved field with its GMRES unknown, iteration count and true residual.
 Each solve builds its own solver, and one given a solved field as guess
 restarts from that unknown (see StripSolver.solve).
@@ -69,7 +69,7 @@ from wavestrip.grid import (
     rfft_x,
     spectral_gradient,
 )
-from wavestrip.paradiff import ParaSymbol, paradiff_apply
+from wavestrip.paradiff import ParaSymbol
 
 
 class StraighteningError(RuntimeError):
@@ -99,13 +99,31 @@ class EllipticSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class DNOParams:
-    """Knobs of the Dirichlet-Neumann evaluation."""
+    """Knobs of the Dirichlet-Neumann evaluation.
+
+    The strip depth h is positive; the smoothing delta is nonnegative, since
+    E(delta z) with delta < 0 amplifies high modes; zpoints >= 3 leaves an
+    interior Chebyshev node; tol is positive and maxiter allows one GMRES
+    iteration at least.
+    """
 
     h: float = 1.0
     delta: float = 0.1
     zpoints: int = 48
     tol: float = 1e-12
     maxiter: int = 400
+
+    def __post_init__(self):
+        if not self.h > 0:
+            raise ValueError(f"strip depth h must be positive, got {self.h}")
+        if not self.delta >= 0:
+            raise ValueError(f"smoothing delta must be nonnegative, got {self.delta}")
+        if self.zpoints < 3:
+            raise ValueError(f"zpoints must be >= 3, got {self.zpoints}")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.maxiter < 1:
+            raise ValueError(f"maxiter must be >= 1, got {self.maxiter}")
 
 
 def chebyshev_lobatto(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -596,16 +614,8 @@ def dno_solve(eta: Field, psi: Field, params: DNOParams = DNOParams(),
 
 def dirichlet_neumann(eta: Field, psi: Field,
                       params: DNOParams = DNOParams()) -> Field:
-    """G(eta) psi.
-
-    The strip solve takes real data, and G(eta) is real, so a complex psi
-    is solved in its real and imaginary parts on one straightened domain.
-    """
-    if psi.is_real:
-        return dno_solve(eta, psi, params).gpsi
-    real = dno_solve(eta, Field(psi.grid, psi.values.real), params)
-    imag = dno_solve(eta, Field(psi.grid, psi.values.imag), params, dom=real.dom)
-    return Field(psi.grid, real.gpsi.values + 1j * imag.gpsi.values)
+    """G(eta) psi for real psi."""
+    return dno_solve(eta, psi, params).gpsi
 
 
 def dno_principal_symbol(eta: Field) -> ParaSymbol:
@@ -620,8 +630,3 @@ def dno_principal_symbol(eta: Field) -> ParaSymbol:
             for i, j in combinations(range(len(xi)), 2)))
 
     return ParaSymbol(order=1.0, regularity=0.5, eval=eval_fn, homogeneous=True)
-
-
-def dno_remainder(eta: Field, psi: Field, params: DNOParams = DNOParams()) -> Field:
-    """R(eta) psi = G(eta) psi - T_lambda psi."""
-    return dirichlet_neumann(eta, psi, params) - paradiff_apply(dno_principal_symbol(eta), psi)

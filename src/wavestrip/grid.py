@@ -6,8 +6,8 @@ Everything else in the package is built on the two types defined here:
 quadratic nonlinearities are expected to go through ``dealiased_product``.
 
 Every Fourier multiplier (derivatives, <D>^s, the heat semigroup, the 2/3
-dealiasing rule, ``fourier_multiplier``) goes through ``apply_half_symbols``
-on the rfft half spectrum: one real transform pair, batched over leading axes.
+dealiasing rule) goes through ``apply_half_symbols`` on the rfft half
+spectrum: one real transform pair, batched over leading axes.
 On 1-D grids ``rfft_x``/``irfft_x`` call scipy's one-axis ``rfft``/``irfft``,
 which skip the n-D shape and axes handling of ``rfftn``/``irfftn`` and give
 the same bits; 2-D grids keep ``rfftn``/``irfftn``.  The full complex lattice
@@ -26,10 +26,6 @@ import scipy.fft as sfft
 
 class InvalidGridError(ValueError):
     """Raised when grid axes violate the even / minimum-size constraints."""
-
-
-class MultiplierDomainError(ValueError):
-    """Raised when a Fourier multiplier is not finite on the lattice."""
 
 
 @dataclass(frozen=True)
@@ -260,35 +256,8 @@ def gradient_x(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return apply_half_symbols(values, grid, grid.half_gradient_symbols)
 
 
-def laplacian_x(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Spectral Laplacian over the trailing grid axes."""
-    return apply_half_symbols(values, grid, (grid.half_laplacian_symbol,))[0]
-
-
 def _apply_half_symbol(u: Field, symbol: np.ndarray) -> Field:
     return Field(u.grid, apply_half_symbols(u.values, u.grid, (symbol,))[0])
-
-
-def fourier_multiplier(u: Field, m) -> Field:
-    """Apply the Fourier multiplier m(xi) mode by mode.
-
-    ``m`` is called with one wavenumber mesh per axis (so ``m(k)`` in 1-D,
-    ``m(kx, ky)`` in 2-D) on the rfft half spectrum, and once more on the
-    negated meshes.  It must be finite there and Hermitian,
-    m(-k) = conj m(k), so that it maps real fields to real fields; otherwise
-    MultiplierDomainError is raised.  Complex fields are transformed part by
-    part.
-    """
-    km = u.grid.half_wavenumber_meshes
-    with np.errstate(all="ignore"):  # finiteness is checked below
-        arr, mirror = [np.broadcast_to(np.asarray(m(*k)), u.grid.half_shape)
-                       for k in (km, [-k for k in km])]
-    if not np.all(np.isfinite(arr)):
-        raise MultiplierDomainError("multiplier is not finite on the lattice; supply its "
-                                    "value at xi = 0 explicitly for homogeneous symbols")
-    if not np.allclose(mirror, np.conj(arr), atol=1e-13, rtol=1e-13):
-        raise MultiplierDomainError("multiplier is not Hermitian: m(-k) != conj m(k)")
-    return _apply_half_symbol(u, arr)
 
 
 def bessel_potential(u: Field, s: float) -> Field:
@@ -304,12 +273,6 @@ def heat_propagator(u: Field, t: float) -> Field:
 def spectral_gradient(u: Field) -> tuple[Field, ...]:
     """Exact spectral gradient; the Nyquist mode of each derivative is zeroed."""
     return tuple(Field(u.grid, g) for g in gradient_x(u.values, u.grid))
-
-
-def divergence(vec: tuple[Field, ...]) -> Field:
-    """sum_j d_j vec_j, each component differentiated along its own axis only."""
-    grid = vec[0].grid
-    return sum(_apply_half_symbol(v, ik) for v, ik in zip(vec, grid.half_gradient_symbols))
 
 
 def dealias(u: Field) -> Field:
@@ -331,13 +294,3 @@ def inner_l2(u: Field, v: Field | np.ndarray) -> float | complex:
 
 def norm_l2(u: Field) -> float:
     return float(np.sqrt(np.sum(np.abs(u.values) ** 2) * u.grid.cell_volume))
-
-
-def sobolev_norm(u: Field, s: float) -> float:
-    """Plain periodic H^s norm ||<D>^s u||_{L^2} (global, not windowed)."""
-    return norm_l2(bessel_potential(u, s))
-
-
-def shift_field(u: Field, cells: tuple[int, ...]) -> Field:
-    """Translate by an integer number of grid cells (exact)."""
-    return Field(u.grid, np.roll(u.values, cells, axis=tuple(range(u.grid.dim))))

@@ -23,6 +23,9 @@ Hermitian symbol maps real data to a real T_a u.
 A symbol is evaluated on stacks of wavenumbers: ``ParaSymbol.eval(x_meshes,
 xis)`` takes xis of shape (m, d) and returns values broadcastable to
 (m, *grid.shape), so a chunk of eta columns is tabulated in one call.
+The symmetrizer needs only these two operators; the symbol seminorm, the
+Bony remainder and the x-independent and separable symbol builders are
+reference checks of the calculus and live with the tests.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from typing import Callable
 import numpy as np
 import scipy.fft as sfft
 
-from wavestrip.grid import Field, PeriodicGrid, dealiased_product, fft, ifft
-from wavestrip.ulspaces import DyadicDecomposition, holder_norms, smooth_step
+from wavestrip.grid import Field, PeriodicGrid, fft, ifft
+from wavestrip.ulspaces import smooth_step
 
 
 class SymbolDomainError(ValueError):
@@ -95,38 +98,6 @@ class ParaSymbol:
     def values(self, grid: PeriodicGrid, xi) -> np.ndarray:
         """a(x, xi) on the grid for one wavenumber vector xi: a one-row stack."""
         return self._rows(grid, np.atleast_2d(np.asarray(xi, dtype=float)))[0]
-
-    def homogeneity_defect(self, grid: PeriodicGrid) -> float:
-        """Max relative defect of |xi|^order scaling along 4 lattice rays."""
-        steps = np.arange(1, 5) * grid.wavenumbers[0][1]  # smallest positive k
-        xis = np.zeros((2 * len(steps), grid.dim))
-        xis[:, 0] = np.concatenate([steps, 2.0 * steps])
-        v1, v2 = np.split(self._rows(grid, xis).reshape(len(xis), -1), 2)
-        scale = np.max(np.abs(v1), axis=1) * 2.0 ** self.order
-        err = np.max(np.abs(v2 - 2.0 ** self.order * v1), axis=1)
-        return float(np.max(np.divide(err, scale, out=np.zeros_like(err), where=scale > 0)))
-
-
-def x_independent_symbol(order: float, h, regularity: float = 1.0,
-                         homogeneous: bool = False) -> ParaSymbol:
-    """Symbol a(x, xi) = h(xi), h mapping a stack (m, d) of wavenumbers to (m,)."""
-    return ParaSymbol(
-        order=order,
-        regularity=regularity,
-        eval=lambda xm, xis: np.reshape(h(xis), (-1,) + (1,) * len(xm)),
-        homogeneous=homogeneous,
-    )
-
-
-def separable_symbol(b: Field, order: float, h, regularity: float = 1.0,
-                     homogeneous: bool = False) -> ParaSymbol:
-    """Symbol b(x) * h(xi), h mapping a stack (m, d) of wavenumbers to (m,)."""
-    return ParaSymbol(
-        order=order,
-        regularity=regularity,
-        eval=lambda xm, xis: b.values * np.reshape(h(xis), (-1,) + (1,) * len(xm)),
-        homogeneous=homogeneous,
-    )
 
 
 # (xi, eta) pairs screened per chunk of eta columns; bounds the working set
@@ -208,50 +179,3 @@ def paradiff_apply(sym: ParaSymbol, u: Field) -> Field:
     out = _lattice_apply(
         u, lambda k_eta: sfft.fftn(_symbol_table(sym, grid, k_eta), axes=axes))
     return ifft(grid, out, real=u.is_real)
-
-
-def bony_remainder(a: Field, u: Field) -> Field:
-    """R(a, u) = au - T_a u - T_u a (product dealiased)."""
-    prod = dealiased_product(a, u)
-    return prod - paraproduct(a, u) - paraproduct(u, a)
-
-
-def _multi_indices(dim: int, max_order: int):
-    if dim == 1:
-        return [(n,) for n in range(max_order + 1)]
-    return [(i, j) for i in range(max_order + 1) for j in range(max_order + 1 - i)]
-
-
-def symbol_seminorm(sym: ParaSymbol, grid: PeriodicGrid,
-                    dd: DyadicDecomposition | None = None) -> float:
-    """Estimate of the order-m seminorm M^m_rho(a) on the resolved lattice.
-
-    xi-derivatives up to order 2d+2 are taken by finite differences on the
-    (monotonically ordered) wavenumber lattice; the x-norm is
-    ``ulspaces.holder_norms`` (Zygmund for fractional rho).
-    """
-    if dd is None:
-        dd = DyadicDecomposition(grid)
-    d = grid.dim
-    sorted_axes = [np.sort(w) for w in grid.wavenumbers]
-    xi_mesh = np.meshgrid(*sorted_axes, indexing="ij")
-    xi_shape = xi_mesh[0].shape
-    xis = np.stack([k.ravel() for k in xi_mesh], axis=-1)
-    table = _symbol_table(sym, grid, xis).reshape(xi_shape + grid.shape)
-
-    xi_abs = np.sqrt(sum(k ** 2 for k in xi_mesh))
-    lattice_mask = xi_abs >= 0.5
-    bracket = np.sqrt(1.0 + xi_abs ** 2)
-    spacings = [w[1] - w[0] for w in sorted_axes]
-
-    best = 0.0
-    for alpha in _multi_indices(d, 2 * d + 2):
-        der = table
-        for ax in range(d):
-            for _ in range(alpha[ax]):
-                der = np.gradient(der, spacings[ax], axis=ax)
-        wnorms = holder_norms(der, grid, sym.regularity, dd)
-        weighted = bracket ** (sum(alpha) - sym.order) * wnorms
-        cand = float(np.max(np.where(lattice_mask, weighted, 0.0)))
-        best = max(best, cand)
-    return best

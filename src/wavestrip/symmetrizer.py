@@ -1,4 +1,4 @@
-"""Good unknowns, symmetrizer symbols, decoupled parabolic roots, energy.
+"""Good unknowns, symmetrizer symbols and the symmetrized energy.
 
 The linearized system is symmetrized by gamma = sqrt(a*lambda) and
 q = sqrt(a/lambda) (a the Taylor coefficient, lambda the DNO principal
@@ -22,10 +22,6 @@ from wavestrip.ulspaces import PartitionOfUnity, ul_sobolev_norm
 
 class TaylorSignError(ValueError):
     """The Taylor coefficient is not positive where required."""
-
-
-class EllipticityError(ValueError):
-    """The decoupling discriminant 4 alpha |xi|^2 - (beta.xi)^2 is not positive."""
 
 
 @dataclass
@@ -82,26 +78,6 @@ def symmetrized_pair(state: SurfaceState, traces: TraceFields, s: float
     us, zeta_s = good_unknowns(state, traces, s)
     _, q = symmetrizer_symbols(traces.a, state.eta)
     return SymmetrizedPair(Us=us, theta_s=theta_field(zeta_s, q), s=s)
-
-
-def decoupling_symbols(alpha, beta, xi):
-    """Roots a, A of the decoupled forward/backward parabolic factorization.
-
-    a + A = -i beta.xi and a*A = -alpha |xi|^2 (checked by callers as the
-    Vieta identities); Re a < 0 < Re A whenever the discriminant is positive.
-    ``alpha`` and the components of ``beta`` may be arrays, such as the z = 0
-    traces of a straightened domain; the roots are then taken pointwise.
-    """
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    bdot = sum(b * xi_c for b, xi_c in zip(beta, xi))
-    disc = 4.0 * alpha * float(np.dot(xi, xi)) - bdot ** 2
-    if np.min(disc) <= 0.0:
-        raise EllipticityError(
-            f"4 alpha |xi|^2 - (beta.xi)^2 = {np.min(disc):.4g} is not positive"
-        )
-    root = np.sqrt(disc)
-    return 0.5 * (-1j * bdot - root), 0.5 * (-1j * bdot + root)
 
 
 def symmetrized_energy(pair: SymmetrizedPair, pou: PartitionOfUnity

@@ -1,8 +1,11 @@
-"""Uniformly local Sobolev norms, Littlewood-Paley blocks, Zygmund norms.
+"""Uniformly local Sobolev norms, Littlewood-Paley blocks, Hoelder norms.
 
 The uniformly local H^s norm of u is the max over window translates q of
 ||<D>^s (chi_q u)||_{L^2}, where the chi_q form a smooth partition of unity.
 On the torus the translate set is finite (one window per unit of period).
+The W^{rho,inf} norms (Zygmund for fractional rho) run over the dyadic
+blocks of ``DyadicDecomposition``; ``holder_norms`` batches them over
+leading axes.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft as sfft
 
-from wavestrip.grid import Field, PeriodicGrid, apply_half_symbols, fft, gradient_x, ifft
+from wavestrip.grid import Field, PeriodicGrid, apply_half_symbols, gradient_x
 
 
 def smooth_step(t: np.ndarray) -> np.ndarray:
@@ -83,16 +86,6 @@ class PartitionOfUnity:
         self.windows = raw / total
         self.centers = centers
 
-    @property
-    def n_windows(self) -> int:
-        return self.windows.shape[0]
-
-    def window_field(self, q: int) -> Field:
-        return Field(self.grid, self.windows[q])
-
-    def partition_defect(self) -> float:
-        return float(np.max(np.abs(self.windows.sum(axis=0) - 1.0)))
-
 
 def ul_sobolev_norm(u: Field, s: float, pou: PartitionOfUnity) -> float:
     """sup over windows q of ||<D>^s (chi_q u)||_{L^2} on the torus (pou on u's grid)."""
@@ -117,7 +110,6 @@ class DyadicDecomposition:
     grid: PeriodicGrid
     jmax: int = field(init=False)
     block_multipliers: np.ndarray = field(init=False, repr=False)
-    lowpass_multipliers: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         kabs = self.grid.abs_wavenumber()
@@ -127,7 +119,6 @@ class DyadicDecomposition:
         for j in range(0, self.jmax + 1):
             blocks.append(theta[j + 1] - theta[j])
         self.block_multipliers = np.stack(blocks)
-        self.lowpass_multipliers = np.stack(theta[: self.jmax + 2])
 
     @staticmethod
     def _theta(r: np.ndarray) -> np.ndarray:
@@ -142,19 +133,6 @@ class DyadicDecomposition:
             raise IndexError(f"block index {j} outside [-1, {self.jmax}]")
         return self.block_multipliers[j + 1]
 
-    def lowpass_multiplier(self, m: int) -> np.ndarray:
-        """Multiplier of S_m = sum of blocks <= m (1 on |xi| <= 2^m)."""
-        if m < -1:
-            return self._theta(self.grid.abs_wavenumber() / 2.0 ** m)
-        m = min(m, self.jmax)
-        return self.lowpass_multipliers[m + 1]
-
-
-def dyadic_block(u: Field, j: int, dd: DyadicDecomposition) -> Field:
-    """Frequency block Delta_j u."""
-    mult = dd.block_multiplier(j)
-    return ifft(u.grid, mult * fft(u), real=u.is_real)
-
 
 def _zygmund_norms(values: np.ndarray, grid: PeriodicGrid, sigma: float,
                    dd: DyadicDecomposition) -> np.ndarray:
@@ -166,11 +144,6 @@ def _zygmund_norms(values: np.ndarray, grid: PeriodicGrid, sigma: float,
         piece = sfft.ifftn(dd.block_multiplier(j) * vh, axes=axes)
         best = np.maximum(best, 2.0 ** (j * sigma) * np.max(np.abs(piece), axis=axes))
     return best
-
-
-def zygmund_norm(u: Field, sigma: float, dd: DyadicDecomposition) -> float:
-    """max over blocks of 2^(j*sigma) * ||Delta_j u||_{L^inf}, truncated at jmax."""
-    return float(_zygmund_norms(u.values, u.grid, sigma, dd))
 
 
 def holder_norms(values: np.ndarray, grid: PeriodicGrid, rho: float,
@@ -192,8 +165,3 @@ def holder_norms(values: np.ndarray, grid: PeriodicGrid, rho: float,
     if dd is None:
         dd = DyadicDecomposition(grid)
     return np.maximum(sup, _zygmund_norms(values, grid, rho, dd))
-
-
-def holder_norm(u: Field, rho: float, dd: DyadicDecomposition | None = None) -> float:
-    """W^{rho,inf} norm of one field, as in ``holder_norms``."""
-    return float(holder_norms(u.values, u.grid, rho, dd))

@@ -1,0 +1,16 @@
+"""The paradifferential remainder of the Dirichlet-Neumann operator.
+
+G(eta) = T_lambda + R(eta), with lambda the principal symbol of
+``wavestrip.dno``; the tests check that R(eta) is exponentially small on a
+flat strip and gains half an order on a curved one.  The package evaluates
+G(eta) and lambda but has no use for R itself.
+"""
+
+from wavestrip.dno import DNOParams, dirichlet_neumann, dno_principal_symbol
+from wavestrip.grid import Field
+from wavestrip.paradiff import paradiff_apply
+
+
+def dno_remainder(eta: Field, psi: Field, params: DNOParams = DNOParams()) -> Field:
+    """R(eta) psi = G(eta) psi - T_lambda psi."""
+    return dirichlet_neumann(eta, psi, params) - paradiff_apply(dno_principal_symbol(eta), psi)

@@ -1,16 +1,20 @@
-"""Independent realizations of paraproducts, kept as references for the tests.
+"""References for the paradifferential calculus, kept for the tests.
 
-The Littlewood-Paley blockwise realization S_{j-j0}(a) Delta_j(u) differs
-from the lattice kernel of ``wavestrip.paradiff`` only near block
-boundaries; the factorized route for symbols b(x) h(xi) agrees with the
-general route exactly on modes where psi is 0 or 1.
+Two independent realizations of paraproducts: the Littlewood-Paley
+blockwise realization S_{j-j0}(a) Delta_j(u) differs from the lattice kernel
+of ``wavestrip.paradiff`` only near block boundaries, and the factorized
+route for symbols b(x) h(xi) agrees with the general route exactly on modes
+where psi is 0 or 1.  Beside them sit the checks of the calculus that the
+solver never calls: the x-independent and separable symbol builders, the
+homogeneity defect of a symbol, the Bony remainder and the estimate of the
+symbol seminorm M^m_rho.
 """
 
 import numpy as np
 
-from wavestrip.grid import Field, fft, ifft
-from wavestrip.paradiff import cutoff_psi, paraproduct
-from wavestrip.ulspaces import DyadicDecomposition
+from wavestrip.grid import Field, PeriodicGrid, dealiased_product, fft, ifft
+from wavestrip.paradiff import ParaSymbol, _symbol_table, cutoff_psi, paraproduct
+from wavestrip.ulspaces import DyadicDecomposition, holder_norms
 
 
 def separable_apply(b: Field, h, u: Field) -> Field:
@@ -28,13 +32,98 @@ def separable_apply(b: Field, h, u: Field) -> Field:
 
 def paraproduct_blockwise(a: Field, u: Field, dd: DyadicDecomposition,
                           j0: int = 3) -> Field:
-    """Blockwise realization sum_j S_{j-j0}(a) Delta_j(u)."""
+    """Blockwise realization sum_j S_{j-j0}(a) Delta_j(u), j0 >= 0.
+
+    S_m is the lowpass Theta(|xi| / 2^m) of the dyadic decomposition, 1 on
+    |xi| <= 2^m and 0 on |xi| >= 2^(m+1).
+    """
     a_hat = fft(a)
     u_hat = fft(u)
+    kabs = a.grid.abs_wavenumber()
     out = np.zeros(a.grid.shape, dtype=complex)
     for j in range(0, dd.jmax + 1):
         piece_u = ifft(u.grid, dd.block_multiplier(j) * u_hat).values
-        low_a = ifft(a.grid, dd.lowpass_multiplier(j - j0) * a_hat).values
+        low_a = ifft(a.grid, dd._theta(kabs / 2.0 ** (j - j0)) * a_hat).values
         out += low_a * piece_u
     real_out = a.is_real and u.is_real
     return Field(a.grid, out.real if real_out else out)
+
+
+def x_independent_symbol(order: float, h, regularity: float = 1.0,
+                         homogeneous: bool = False) -> ParaSymbol:
+    """Symbol a(x, xi) = h(xi), h mapping a stack (m, d) of wavenumbers to (m,)."""
+    return ParaSymbol(
+        order=order,
+        regularity=regularity,
+        eval=lambda xm, xis: np.reshape(h(xis), (-1,) + (1,) * len(xm)),
+        homogeneous=homogeneous,
+    )
+
+
+def separable_symbol(b: Field, order: float, h, regularity: float = 1.0,
+                     homogeneous: bool = False) -> ParaSymbol:
+    """Symbol b(x) * h(xi), h mapping a stack (m, d) of wavenumbers to (m,)."""
+    return ParaSymbol(
+        order=order,
+        regularity=regularity,
+        eval=lambda xm, xis: b.values * np.reshape(h(xis), (-1,) + (1,) * len(xm)),
+        homogeneous=homogeneous,
+    )
+
+
+def homogeneity_defect(sym: ParaSymbol, grid: PeriodicGrid) -> float:
+    """Max relative defect of |xi|^order scaling along 4 lattice rays."""
+    steps = np.arange(1, 5) * grid.wavenumbers[0][1]  # smallest positive k
+    xis = np.zeros((2 * len(steps), grid.dim))
+    xis[:, 0] = np.concatenate([steps, 2.0 * steps])
+    v1, v2 = np.split(sym._rows(grid, xis).reshape(len(xis), -1), 2)
+    scale = np.max(np.abs(v1), axis=1) * 2.0 ** sym.order
+    err = np.max(np.abs(v2 - 2.0 ** sym.order * v1), axis=1)
+    return float(np.max(np.divide(err, scale, out=np.zeros_like(err), where=scale > 0)))
+
+
+def bony_remainder(a: Field, u: Field) -> Field:
+    """R(a, u) = au - T_a u - T_u a (product dealiased)."""
+    prod = dealiased_product(a, u)
+    return prod - paraproduct(a, u) - paraproduct(u, a)
+
+
+def _multi_indices(dim: int, max_order: int):
+    if dim == 1:
+        return [(n,) for n in range(max_order + 1)]
+    return [(i, j) for i in range(max_order + 1) for j in range(max_order + 1 - i)]
+
+
+def symbol_seminorm(sym: ParaSymbol, grid: PeriodicGrid,
+                    dd: DyadicDecomposition | None = None) -> float:
+    """Estimate of the order-m seminorm M^m_rho(a) on the resolved lattice.
+
+    xi-derivatives up to order 2d+2 are taken by finite differences on the
+    (monotonically ordered) wavenumber lattice; the x-norm is
+    ``ulspaces.holder_norms`` (Zygmund for fractional rho).
+    """
+    if dd is None:
+        dd = DyadicDecomposition(grid)
+    d = grid.dim
+    sorted_axes = [np.sort(w) for w in grid.wavenumbers]
+    xi_mesh = np.meshgrid(*sorted_axes, indexing="ij")
+    xi_shape = xi_mesh[0].shape
+    xis = np.stack([k.ravel() for k in xi_mesh], axis=-1)
+    table = _symbol_table(sym, grid, xis).reshape(xi_shape + grid.shape)
+
+    xi_abs = np.sqrt(sum(k ** 2 for k in xi_mesh))
+    lattice_mask = xi_abs >= 0.5
+    bracket = np.sqrt(1.0 + xi_abs ** 2)
+    spacings = [w[1] - w[0] for w in sorted_axes]
+
+    best = 0.0
+    for alpha in _multi_indices(d, 2 * d + 2):
+        der = table
+        for ax in range(d):
+            for _ in range(alpha[ax]):
+                der = np.gradient(der, spacings[ax], axis=ax)
+        wnorms = holder_norms(der, grid, sym.regularity, dd)
+        weighted = bracket ** (sum(alpha) - sym.order) * wnorms
+        cand = float(np.max(np.where(lattice_mask, weighted, 0.0)))
+        best = max(best, cand)
+    return best

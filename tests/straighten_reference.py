@@ -10,7 +10,7 @@ carry the depth terms h z and h.
 import numpy as np
 
 from wavestrip.dno import chebyshev_lobatto
-from wavestrip.grid import gradient_x, irfft_x, laplacian_x, rfft_x
+from wavestrip.grid import apply_half_symbols, gradient_x, irfft_x, rfft_x
 
 
 def straighten_fields(eta, h, delta, zpoints):
@@ -33,7 +33,8 @@ def straighten_fields(eta, h, delta, zpoints):
     grad2 = sum(g ** 2 for g in drho_x)
     alpha = drho_z ** 2 / (1.0 + grad2)
     beta = tuple(-2.0 * drho_z * g / (1.0 + grad2) for g in drho_x)
-    gamma = (d2rho_z + alpha * laplacian_x(rho, grid)
+    lap_rho = apply_half_symbols(rho, grid, (grid.half_laplacian_symbol,))[0]
+    gamma = (d2rho_z + alpha * lap_rho
              + sum(b * g for b, g in zip(beta, gradient_x(drho_z, grid)))) / drho_z
     return {"rho": rho, "drho_z": drho_z, "d2rho_z": d2rho_z, "drho_x": drho_x,
             "alpha": alpha, "beta": beta, "gamma": gamma}

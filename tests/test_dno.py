@@ -11,13 +11,11 @@ from wavestrip.grid import (
     Field,
     dealiased_product,
     field_from_function,
-    fourier_multiplier,
     gradient_x,
     inner_l2,
     make_grid,
     norm_l2,
     rfft_x,
-    sobolev_norm,
     spectral_gradient,
 )
 from wavestrip.dno import (
@@ -32,13 +30,14 @@ from wavestrip.dno import (
     chebyshev_lobatto,
     dirichlet_neumann,
     dno_principal_symbol,
-    dno_remainder,
     dno_solve,
     solve_laplace,
     straighten,
     straighten_adaptive,
     surface_flux,
 )
+from dno_reference import dno_remainder
+from grid_reference import divergence, fourier_multiplier, sobolev_norm
 from straighten_reference import straighten_fields
 
 GRID = make_grid([2 * np.pi], [128])
@@ -48,6 +47,25 @@ PARAMS = DNOParams(h=1.0, zpoints=40)
 def flat_dno_oracle(psi: Field, h: float) -> Field:
     """Separation-of-variables multiplier k*tanh(k h) on the flat strip."""
     return fourier_multiplier(psi, lambda k: np.abs(k) * np.tanh(np.abs(k) * h))
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("h", 0.0, "depth"),
+    ("delta", -0.1, "delta"),
+    ("zpoints", 2, "zpoints"),
+    ("tol", 0.0, "tol"),
+    ("maxiter", 0, "maxiter"),
+])
+def test_dno_params_reject_values_that_break_the_solve(field, value, match):
+    # zpoints 2 leaves no interior node, maxiter 0 no GMRES cycle, tol 0 a
+    # target below rounding, and delta < 0 makes E(delta z) amplify high modes
+    with pytest.raises(ValueError, match=match):
+        DNOParams(**{field: value})
+
+
+def test_dno_params_accept_the_edge_values():
+    params = DNOParams(delta=0.0, zpoints=3, maxiter=1)
+    assert (params.delta, params.zpoints, params.maxiter) == (0.0, 3, 1)
 
 
 def test_cheb_matrix_differentiates_polynomials():
@@ -234,8 +252,6 @@ def test_dno_first_order_shape_derivative():
     bump = field_from_function(GRID, lambda x: np.cos(x))
     h = 1.0
 
-    from wavestrip.grid import dealiased_product, divergence, spectral_gradient
-
     def sech_op(u):
         return fourier_multiplier(u, lambda k: 1.0 / np.cosh(np.abs(k) * h))
 
@@ -335,7 +351,9 @@ def test_dno_remainder_flat_exponentially_small():
     for k in (4, 8):
         x = GRID.axes()[0]
         psi = Field(GRID, np.exp(1j * k * x))
-        r = dno_remainder(eta, psi, params=PARAMS)
+        # the strip solve takes real data: R(eta) psi from its two parts
+        r = (dno_remainder(eta, Field(GRID, psi.values.real), params=PARAMS)
+             + 1j * dno_remainder(eta, Field(GRID, psi.values.imag), params=PARAMS))
         expected = abs(k * np.tanh(k) - k)
         assert np.max(np.abs(r.values)) <= max(2 * expected, 1e-9)
         assert np.max(np.abs(r.values)) <= 2.5 * k * np.exp(-2 * k) + 1e-9
@@ -361,7 +379,6 @@ def test_dno_remainder_half_order_gain():
 def test_divergence_identity_gain():
     # G(eta)B + div V should be smoother than div V along a frequency ladder
     from wavestrip.core import SurfaceState, trace_velocities
-    from wavestrip.grid import divergence
 
     ratios, ks = [], [4, 8, 16]
     for k in ks:
@@ -588,22 +605,18 @@ def test_guess_of_wrong_shape_raises():
         solver.solve(psi.values, guess=StraightenedField(dom, np.zeros((24,) + GRID.shape)))
 
 
-def test_strip_solve_takes_real_data_and_dno_splits_complex_psi():
+def test_strip_solve_and_dno_take_real_data_only():
     eta = field_from_function(GRID, lambda x: 0.1 * np.cos(x))
     psi = field_from_function(GRID, lambda x: np.sin(x) + 0.3 * np.cos(3 * x))
-    other = Field(GRID, np.roll(psi.values, 5))
-    both = Field(GRID, psi.values + 2j * other.values)
-    with pytest.raises(ValueError, match="real data"):
-        dno_solve(eta, both, PARAMS)
+    both = Field(GRID, psi.values + 2j * np.roll(psi.values, 5))
+    for evaluate in (dno_solve, dirichlet_neumann):
+        with pytest.raises(ValueError, match="real data"):
+            evaluate(eta, both, PARAMS)
     dom = straighten(eta, PARAMS.h, PARAMS.delta, PARAMS.zpoints)
     for source, flux in ((np.ones((PARAMS.zpoints,) + GRID.shape, dtype=complex), None),
                          (None, 1j * np.ones(GRID.shape))):
         with pytest.raises(ValueError, match="real data"):
             StripSolver(dom).solve(psi.values, source, flux)
-    g = dirichlet_neumann(eta, both, PARAMS)
-    expected = (dirichlet_neumann(eta, psi, PARAMS).values
-                + 2j * dirichlet_neumann(eta, other, PARAMS).values)
-    assert np.max(np.abs(g.values - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
 def per_product_surface_flux(dom, phi):
