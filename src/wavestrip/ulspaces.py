@@ -46,7 +46,7 @@ class PartitionOfUnity:
     flat: float = 0.5
     zero: float = 1.0
     centers: list[tuple[float, ...]] = field(init=False, repr=False)
-    windows: np.ndarray = field(init=False, repr=False)  # (n_windows, *grid.shape)
+    windows: np.ndarray = field(init=False, repr=False)  # (windows, *grid.shape)
 
     def __post_init__(self):
         if not (0.0 < self.flat < self.zero <= 1.0):

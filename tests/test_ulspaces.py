@@ -85,8 +85,8 @@ def test_localized_bump_attained_at_nearest_window():
         for s in (0.0, 0.5, 1.0, 2.0):
             # the per-window loop the batched norm replaced
             vals = [
-                norm_l2(bessel_potential(Field(grid, pou.windows[q] * u.values), s))
-                for q in range(len(pou.windows))
+                norm_l2(bessel_potential(Field(grid, chi * u.values), s))
+                for chi in pou.windows
             ]
             assert int(np.argmax(vals)) == 2
             assert ul_sobolev_norm(u, s, pou) == pytest.approx(max(vals), rel=1e-13)
