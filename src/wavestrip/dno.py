@@ -97,6 +97,15 @@ class EllipticSolveError(RuntimeError):
         super().__init__(f"elliptic solve stalled at relative residual {residual:.3e}")
 
 
+def _check_solver_limits(tol: float, maxiter: int) -> None:
+    """Reject a GMRES tol <= 0, below any reachable residual, and maxiter < 1,
+    which runs no cycle; DNOParams and StripSolver both check here."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if maxiter < 1:
+        raise ValueError(f"maxiter must be >= 1, got {maxiter}")
+
+
 @dataclass(frozen=True)
 class DNOParams:
     """Knobs of the Dirichlet-Neumann evaluation.
@@ -120,10 +129,7 @@ class DNOParams:
             raise ValueError(f"smoothing delta must be nonnegative, got {self.delta}")
         if self.zpoints < 3:
             raise ValueError(f"zpoints must be >= 3, got {self.zpoints}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.maxiter < 1:
-            raise ValueError(f"maxiter must be >= 1, got {self.maxiter}")
+        _check_solver_limits(self.tol, self.maxiter)
 
 
 def chebyshev_lobatto(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -385,6 +391,7 @@ class StripSolver:
 
     def __init__(self, dom: StraightenedDomain, tol: float = DNOParams.tol,
                  maxiter: int = DNOParams.maxiter):
+        _check_solver_limits(tol, maxiter)
         self.dom = dom
         self.tol = tol
         self.maxiter = maxiter

@@ -63,6 +63,17 @@ def test_dno_params_reject_values_that_break_the_solve(field, value, match):
         DNOParams(**{field: value})
 
 
+@pytest.mark.parametrize("limits, match", [(dict(tol=0.0), "tol"), (dict(maxiter=0), "maxiter")])
+def test_strip_solver_rejects_the_limits_dno_params_rejects(limits, match):
+    # StripSolver and solve_laplace take tol and maxiter without a DNOParams
+    eta = field_from_function(GRID, lambda x: 0.1 * np.cos(x))
+    dom = straighten(eta, h=1.0, zpoints=24)
+    with pytest.raises(ValueError, match=match):
+        StripSolver(dom, **limits)
+    with pytest.raises(ValueError, match=match):
+        solve_laplace(dom, field_from_function(GRID, np.sin), **limits)
+
+
 def test_dno_params_accept_the_edge_values():
     params = DNOParams(delta=0.0, zpoints=3, maxiter=1)
     assert (params.delta, params.zpoints, params.maxiter) == (0.0, 3, 1)

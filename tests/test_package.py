@@ -1,5 +1,6 @@
 """Guards on what the package promises: its module docstrings name only
-things it ships, and no module under src/ reaches into the tests."""
+things it ships, no module under src/ reaches into the tests, and no module
+imports a name it does not use."""
 
 import ast
 import importlib
@@ -59,3 +60,22 @@ def test_src_does_not_import_tests(path):
         for n in names:
             top = n.split(".")[0]
             assert top != "tests" and top not in TEST_MODULES, f"{path.name} imports {n}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_src_has_no_unused_imports(path):
+    # a static scan: a name counts as used when the module reads it anywhere
+    # or lists it in __all__
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    assert not imported - used, f"{path.name} imports {sorted(imported - used)} unused"

@@ -4,16 +4,10 @@ import pytest
 from wavestrip import stepping
 from wavestrip.core import SurfaceState, hamiltonian, ww_rhs
 from wavestrip.dno import DNOParams, dno_solve
-from wavestrip.grid import Field, field_from_function, heat_propagator, make_grid, norm_l2
+from wavestrip.grid import Field, field_from_function, make_grid, norm_l2
 from wavestrip.ulspaces import PartitionOfUnity
-from wavestrip.stepping import (
-    CFLError,
-    StepConfig,
-    StepError,
-    integrate,
-    parabolic_step,
-    rk4_step,
-)
+from wavestrip.stepping import CFLError, StepConfig, integrate, rk4_step
+from stepping_reference import classical_rk4_step
 
 GRID = make_grid([2 * np.pi], [64])
 DNO = DNOParams(h=1.0, zpoints=24, tol=1e-12)
@@ -30,6 +24,12 @@ def linear_wave_state(eps=0.01, k=1):
                         psi=Field(GRID, np.zeros(GRID.shape)))
 
 
+def config(dt, eps=0.0, **kwargs):
+    """StepConfig of the system eps regularizes; scheme only has to agree with eps."""
+    scheme = "parabolic-duhamel" if eps > 0 else "rk4"
+    return StepConfig(dt=dt, epsilon=eps, scheme=scheme, dno=DNO, **kwargs)
+
+
 def zero_rhs(state):
     z = Field(state.eta.grid, np.zeros(state.eta.grid.shape))
     return z, z, None
@@ -41,7 +41,6 @@ def test_config_validation():
         dict(epsilon=-1.0),
         dict(scheme="leapfrog"),
         dict(taylor_every=0),
-        dict(fixed_point_max_iter=0),
         dict(epsilon=0.01),  # rk4 would drop the regularization
         dict(scheme="parabolic-duhamel"),  # epsilon 0 has no heat flow
     ):
@@ -69,7 +68,7 @@ def test_parabolic_heat_flow_exact_with_frozen_nonlinearity():
     state = SurfaceState(eta=Field(GRID, np.cos(k * x)),
                          psi=Field(GRID, np.sin(k * x)))
     cfg = StepConfig(dt=dt, epsilon=eps, scheme="parabolic-duhamel", dno=DNO)
-    out = parabolic_step(state, cfg, rhs=zero_rhs)
+    out = rk4_step(state, cfg, rhs=zero_rhs)
     decay = np.exp(-eps * dt * k ** 2)
     assert np.max(np.abs(out.eta.values - decay * np.cos(k * x))) < 1e-13
     assert np.max(np.abs(out.psi.values - decay * np.sin(k * x))) < 1e-13
@@ -77,15 +76,8 @@ def test_parabolic_heat_flow_exact_with_frozen_nonlinearity():
 
 def test_parabolic_rest_is_fixed_point():
     cfg = StepConfig(dt=0.05, epsilon=0.01, scheme="parabolic-duhamel", dno=DNO)
-    out = parabolic_step(rest_state(), cfg)
+    out = rk4_step(rest_state(), cfg)
     assert norm_l2(out.eta) < 1e-13
-
-
-def test_parabolic_nonconvergence_raises():
-    cfg = StepConfig(dt=0.05, epsilon=0.01, scheme="parabolic-duhamel",
-                     fixed_point_max_iter=1, fixed_point_tol=1e-14, dno=DNO)
-    with pytest.raises(StepError):
-        parabolic_step(linear_wave_state(eps=0.05), cfg)
 
 
 def test_rk4_linear_wave_period_return():
@@ -101,14 +93,17 @@ def test_rk4_linear_wave_period_return():
     assert rel < 1e-5
 
 
-def test_rk4_self_convergence_order():
+@pytest.mark.parametrize("eps", [0.0, 0.01])
+def test_rk4_self_convergence_order(eps):
+    # at eps > 0 the heat flow is exact, so the order is that of RK4 on the
+    # nonlinear part
     state = SurfaceState(
         eta=field_from_function(GRID, lambda x: 0.03 * np.cos(x)),
         psi=field_from_function(GRID, lambda x: 0.03 * np.sin(x)))
     T = 0.8
     outs = {}
     for n in (10, 20, 40):
-        cfg = StepConfig(dt=T / n, dno=DNO, taylor_every=None)
+        cfg = config(T / n, eps, taylor_every=None)
         traj = integrate(state, T, cfg, keep_states=False)
         outs[n] = traj.final()
     e1 = norm_l2(outs[10].eta - outs[40].eta) + norm_l2(outs[10].psi - outs[40].psi)
@@ -276,67 +271,34 @@ def cold_rhs(state):
     return ww_rhs(state, DNO)
 
 
-def loop_from_state(state, cfg, rhs):
-    """Reference: the fixed point started at state itself, whose first
-    iteration re-evaluates the RHS at state."""
-    dt, eps = cfg.dt, cfg.epsilon
-    a0 = rhs(state)[:2]
-    prop_eta = heat_propagator(state.eta + (dt / 2.0) * a0[0], eps * dt)
-    prop_psi = heat_propagator(state.psi + (dt / 2.0) * a0[1], eps * dt)
-    eta_new, psi_new = state.eta, state.psi
-    scale = max(norm_l2(state.eta) + norm_l2(state.psi), 1e-14)
-    for _ in range(cfg.fixed_point_max_iter):
-        trial = SurfaceState(eta=eta_new, psi=psi_new, t=state.t + dt,
-                             g=state.g, h=state.h)
-        a1 = rhs(trial)[:2]
-        eta_next = prop_eta + (dt / 2.0) * a1[0]
-        psi_next = prop_psi + (dt / 2.0) * a1[1]
-        delta = norm_l2(eta_next - eta_new) + norm_l2(psi_next - psi_new)
-        eta_new, psi_new = eta_next, psi_next
-        if delta <= cfg.fixed_point_tol * scale:
-            return eta_new, psi_new
-    raise StepError("stalled")
-
-
 def moving_wave_state(eps=0.05):
     return SurfaceState(eta=field_from_function(GRID, lambda x: eps * np.cos(x)),
                         psi=field_from_function(GRID, lambda x: 0.6 * eps * np.sin(x)))
 
 
-@pytest.mark.parametrize("eps", [0.0, 0.05])
-def test_parabolic_step_matches_loop_from_state_bitwise(eps):
-    # the rest state converges at the first iterate, the wave after several
-    state = moving_wave_state(eps)
-    cfg = StepConfig(dt=0.05, epsilon=0.01, scheme="parabolic-duhamel", dno=DNO)
-    out = parabolic_step(state, cfg, rhs=cold_rhs)
-    eta_ref, psi_ref = loop_from_state(state, cfg, cold_rhs)
-    assert np.array_equal(out.eta.values, eta_ref.values)
-    assert np.array_equal(out.psi.values, psi_ref.values)
-
-
-def test_parabolic_step_never_reevaluates_rhs_at_state():
+def test_rk4_step_at_eps_zero_is_classical_rk4_bitwise():
     state = moving_wave_state()
-    cfg = StepConfig(dt=0.05, epsilon=0.01, scheme="parabolic-duhamel", dno=DNO)
+    cfg = StepConfig(dt=0.05, dno=DNO)
+    out = rk4_step(state, cfg, rhs=cold_rhs)
+    ref = classical_rk4_step(state, cfg.dt, cold_rhs)
+    assert np.array_equal(out.eta.values, ref.eta.values)
+    assert np.array_equal(out.psi.values, ref.psi.values)
+    assert out.t == ref.t
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.01])
+def test_parabolic_step_never_reevaluates_rhs_at_state(eps):
+    state = moving_wave_state()
     seen = []
 
     def counting(s):
         seen.append((s.eta.values.copy(), s.psi.values.copy()))
         return cold_rhs(s)
 
-    parabolic_step(state, cfg, rhs=counting, k1=cold_rhs(state)[:2])
-    assert 1 <= len(seen) < cfg.fixed_point_max_iter
+    rk4_step(state, config(0.05, eps), rhs=counting, k1=cold_rhs(state)[:2])
+    assert len(seen) == 3
     assert not any(np.array_equal(e, state.eta.values) and np.array_equal(p, state.psi.values)
                    for e, p in seen)
-
-
-def test_parabolic_max_iter_bounds_rhs_calls():
-    calls = []
-    cfg = StepConfig(dt=0.05, epsilon=0.01, scheme="parabolic-duhamel",
-                     fixed_point_max_iter=3, fixed_point_tol=1e-14, dno=DNO)
-    with pytest.raises(StepError):
-        parabolic_step(linear_wave_state(eps=0.05), cfg,
-                       rhs=lambda s: calls.append(1) or cold_rhs(s))
-    assert len(calls) == cfg.fixed_point_max_iter
 
 
 def test_default_rhs_warm_starts_from_previous_call():
