@@ -20,9 +20,12 @@ a = g - (1/d_z rho) d_z Q at z = 0.  Q carries no O(g) hydrostatic part,
 which would otherwise dominate the solution and hold GMRES at its rounding
 floor, and the rest state gives Q = 0 and a = g exactly.
 
-``trace_velocities`` and ``taylor_coefficient`` share one potential solve:
-the first gives the surface velocities B and V, the second a from that
-solve's domain and potential.
+Every term of the energy comes from one harmonic extension Phi of the
+state: ``ww_rhs`` solves for it and returns that ``DNOSolution``, and
+``trace_velocities``, ``taylor_coefficient`` and ``hamiltonian`` take it as
+an argument and never solve for Phi again.  The first gives the surface
+velocities B and V, the second a from the solve's domain and potential, the
+third the energy from G(eta) psi.
 """
 
 from __future__ import annotations
@@ -66,17 +69,13 @@ class SurfaceState:
     def min_depth(self) -> float:
         return float(np.min(self.eta.values) + self.h)
 
-    def dno_params(self, base: DNOParams) -> DNOParams:
-        return replace(base, h=self.h)
-
 
 @dataclass
 class TraceFields:
-    """Surface velocity traces and (optionally) the Taylor coefficient."""
+    """Vertical (B) and horizontal (V) fluid velocity at the surface."""
 
     B: Field
     V: tuple[Field, ...]
-    a: Field | None = None
 
 
 def _vertical_velocity_parts(state: SurfaceState, sol: DNOSolution):
@@ -91,29 +90,22 @@ def _vertical_velocity_parts(state: SurfaceState, sol: DNOSolution):
     return grad_eta, grad_psi, num, denom
 
 
-def trace_velocities(state: SurfaceState, params: DNOParams = DNOParams(),
-                     sol: DNOSolution | None = None
-                     ) -> tuple[TraceFields, DNOSolution]:
-    """B and V from the surface data, reusing an existing DNO solve if given."""
-    params = state.dno_params(params)
-    if sol is None:
-        sol = dno_solve(state.eta, state.psi, params)
+def trace_velocities(state: SurfaceState, sol: DNOSolution) -> TraceFields:
+    """B and V from the surface data and the state's potential solve ``sol``."""
     grad_eta, grad_psi, num, denom = _vertical_velocity_parts(state, sol)
     B = dealiased_product(num, Field(state.eta.grid, 1.0 / denom))
     V = tuple(gp - dealiased_product(B, ge) for gp, ge in zip(grad_psi, grad_eta))
-    return TraceFields(B=B, V=V), sol
+    return TraceFields(B=B, V=V)
 
 
-def ww_rhs(state: SurfaceState, params: DNOParams = DNOParams(),
-           sol: DNOSolution | None = None, guess: DNOSolution | None = None
-           ) -> tuple[Field, Field, DNOSolution]:
+def ww_rhs(state: SurfaceState, params: DNOParams,
+           guess: DNOSolution | None = None) -> tuple[Field, Field, DNOSolution]:
     """Tendencies (d_t eta, d_t psi) and the DNO solution used to build them.
 
-    ``guess`` warm-starts the potential solve when ``sol`` is not given.
+    The potential is solved at the state's depth h with the other knobs of
+    ``params``; ``guess`` warm-starts that solve.
     """
-    params = state.dno_params(params)
-    if sol is None:
-        sol = dno_solve(state.eta, state.psi, params, guess=guess)
+    sol = dno_solve(state.eta, state.psi, replace(params, h=state.h), guess=guess)
     grid = state.eta.grid
     _, grad_psi, num, denom = _vertical_velocity_parts(state, sol)
     quad = dealiased_product(num, Field(grid, num.values / denom))
@@ -133,9 +125,10 @@ def taylor_coefficient(state: SurfaceState, sol: DNOSolution,
 
     Solves for Q = P + g rho (see the module docstring): L Q = L P because
     L rho = 0, Q = g eta at the surface because P = 0 there, and the bottom
-    flux of Q is that of P plus g because conormal(rho) = 1.
+    flux of Q is that of P plus g because conormal(rho) = 1.  ``sol`` is the
+    state's potential solve, and ``params`` gives the pressure solve its tol
+    and maxiter.
     """
-    params = state.dno_params(params)
     dom = sol.dom
     grid = dom.grid
     phi = sol.phi.values
@@ -157,12 +150,9 @@ def taylor_coefficient(state: SurfaceState, sol: DNOSolution,
     return a, float(np.min(a_vals))
 
 
-def hamiltonian(state: SurfaceState, params: DNOParams = DNOParams(),
-                sol: DNOSolution | None = None) -> float:
-    """Conserved energy (psi, G(eta) psi)/2 + g/2 * integral of eta^2."""
-    params = state.dno_params(params)
-    if sol is None:
-        sol = dno_solve(state.eta, state.psi, params)
+def hamiltonian(state: SurfaceState, sol: DNOSolution) -> float:
+    """Conserved energy (psi, G(eta) psi)/2 + g/2 * integral of eta^2, with
+    G(eta) psi from the state's potential solve ``sol``."""
     kinetic = 0.5 * inner_l2(state.psi, sol.gpsi)
     potential = 0.5 * state.g * norm_l2(state.eta) ** 2
     return float(kinetic + potential)

@@ -50,6 +50,7 @@ Chebyshev derivative.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
@@ -97,23 +98,30 @@ class EllipticSolveError(RuntimeError):
         super().__init__(f"elliptic solve stalled at relative residual {residual:.3e}")
 
 
+def _is_count(n) -> bool:
+    """n is an integer (a numpy integer too) and not a bool."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
+
+
 def _check_solver_limits(tol: float, maxiter: int) -> None:
-    """Reject a GMRES tol <= 0, below any reachable residual, and maxiter < 1,
-    which runs no cycle; DNOParams and StripSolver both check here."""
+    """Reject a GMRES tol <= 0, below any reachable residual, and a maxiter
+    that is not an integer >= 1, which runs no cycle; DNOParams and
+    StripSolver both check here."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if maxiter < 1:
-        raise ValueError(f"maxiter must be >= 1, got {maxiter}")
+    if not _is_count(maxiter) or maxiter < 1:
+        raise ValueError(f"maxiter must be an integer >= 1, got {maxiter!r}")
 
 
 @dataclass(frozen=True)
 class DNOParams:
     """Knobs of the Dirichlet-Neumann evaluation.
 
-    The strip depth h is positive; the smoothing delta is nonnegative, since
-    E(delta z) with delta < 0 amplifies high modes; zpoints >= 3 leaves an
-    interior Chebyshev node; tol is positive and maxiter allows one GMRES
-    iteration at least.
+    The strip depth h is positive and finite; the smoothing delta is
+    nonnegative, since E(delta z) with delta < 0 amplifies high modes, and
+    finite; zpoints is an integer >= 3, which leaves an interior Chebyshev
+    node; tol is positive and maxiter an integer that allows one GMRES
+    iteration at least.  Numpy integers count as integers, bools do not.
     """
 
     h: float = 1.0
@@ -123,12 +131,13 @@ class DNOParams:
     maxiter: int = 400
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError(f"strip depth h must be positive, got {self.h}")
-        if not self.delta >= 0:
-            raise ValueError(f"smoothing delta must be nonnegative, got {self.delta}")
-        if self.zpoints < 3:
-            raise ValueError(f"zpoints must be >= 3, got {self.zpoints}")
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"strip depth h must be positive and finite, got {self.h}")
+        if not 0 <= self.delta < math.inf:
+            raise ValueError(
+                f"smoothing delta must be nonnegative and finite, got {self.delta}")
+        if not _is_count(self.zpoints) or self.zpoints < 3:
+            raise ValueError(f"zpoints must be an integer >= 3, got {self.zpoints!r}")
         _check_solver_limits(self.tol, self.maxiter)
 
 
@@ -587,7 +596,9 @@ def solve_laplace(dom: StraightenedDomain, psi: Field,
 
 @dataclass
 class DNOSolution:
-    """A DNO evaluation with enough retained state to reuse the solve."""
+    """One potential solve: the straightened domain, the harmonic extension
+    Phi on it and the trace G(eta) psi.  Every quantity of a state that
+    needs Phi (traces, Taylor coefficient, energy) takes this object."""
 
     dom: StraightenedDomain
     phi: StraightenedField
@@ -602,18 +613,18 @@ def surface_flux(dom: StraightenedDomain, phi: StraightenedField) -> Field:
 
 
 def dno_solve(eta: Field, psi: Field, params: DNOParams = DNOParams(),
-              dom: StraightenedDomain | None = None,
               guess: DNOSolution | None = None) -> DNOSolution:
-    """Evaluate G(eta) psi, keeping the domain and potential for reuse.
+    """Straighten the strip under eta and evaluate G(eta) psi, keeping the
+    domain and potential for reuse.
 
     ``psi`` is real.  ``guess`` is an earlier solution, typically on a
     nearby surface with the same grid and zpoints; its potential's GMRES
     unknown starts GMRES (see StripSolver.solve).  It changes the iteration
     count, not the tolerance the result meets.  ``phi`` is the solved field,
-    with its unknown and count.
+    with its unknown and count.  Another datum on the same domain is
+    ``surface_flux(dom, solve_laplace(dom, psi, ...))``.
     """
-    if dom is None:
-        dom = straighten_adaptive(eta, params)
+    dom = straighten_adaptive(eta, params)
     phi = solve_laplace(dom, psi, tol=params.tol, maxiter=params.maxiter,
                         guess=None if guess is None else guess.phi)
     return DNOSolution(dom=dom, phi=phi, gpsi=surface_flux(dom, phi))
@@ -630,7 +641,7 @@ def dno_principal_symbol(eta: Field) -> ParaSymbol:
     evaluated as sqrt(|xi|^2 + |grad eta ^ xi|^2) by Lagrange's identity."""
     grads = [g.values for g in spectral_gradient(eta)]
 
-    def eval_fn(x_meshes, xis):
+    def eval_fn(xis):
         xi = [c.reshape((-1,) + (1,) * eta.grid.dim) for c in xis.T]
         return np.sqrt(sum(xi_c ** 2 for xi_c in xi) + sum(
             (grads[i] * xi[j] - grads[j] * xi[i]) ** 2

@@ -20,9 +20,10 @@ it.  Its band is symmetric: along each axis the Nyquist index, which has no
 mirror, is neither a row xi nor a column eta, and |xi - eta| < N/2; so a
 Hermitian symbol maps real data to a real T_a u.
 
-A symbol is evaluated on stacks of wavenumbers: ``ParaSymbol.eval(x_meshes,
-xis)`` takes xis of shape (m, d) and returns values broadcastable to
-(m, *grid.shape), so a chunk of eta columns is tabulated in one call.
+A symbol is evaluated on stacks of wavenumbers: ``ParaSymbol.eval(xis)``
+takes xis of shape (m, d) and returns values broadcastable to
+(m, *grid.shape), so a chunk of eta columns is tabulated in one call; its
+x dependence is carried by the fields the symbol closes over.
 The symmetrizer needs only these two operators; the symbol seminorm, the
 Bony remainder and the x-independent and separable symbol builders are
 reference checks of the calculus and live with the tests.
@@ -71,8 +72,8 @@ def cutoff_theta(zeta_abs, eta_abs) -> np.ndarray:
 class ParaSymbol:
     """Symbol a(x, xi) of declared order and spatial regularity rho in [0, 1].
 
-    ``eval(x_meshes, xis)`` takes a stack of wavenumber vectors, shape (m, d),
-    and returns values broadcastable to (m, *grid.shape), row i holding
+    ``eval(xis)`` takes a stack of wavenumber vectors, shape (m, d), and
+    returns values broadcastable to (m, *grid.shape), row i holding
     a(x, xis[i]).  Homogeneous symbols are undefined at xi = 0, advertise
     that with the flag, and are never evaluated there.  Symbols are
     Hermitian, a(x, -xi) = conj a(x, xi), as lambda, gamma, q, |xi|, <xi>,
@@ -81,14 +82,14 @@ class ParaSymbol:
 
     order: float
     regularity: float
-    eval: Callable[[tuple, np.ndarray], np.ndarray]
+    eval: Callable[[np.ndarray], np.ndarray]
     homogeneous: bool = False
 
     def _rows(self, grid: PeriodicGrid, xis: np.ndarray) -> np.ndarray:
         """``eval`` on the stack ``xis``, broadcast to (m, *grid.shape) and checked."""
         if self.homogeneous and np.any(np.all(xis == 0.0, axis=1)):
             raise SymbolDomainError("homogeneous symbol evaluated at xi = 0")
-        vals = np.broadcast_to(self.eval(grid.meshes(), xis), (len(xis),) + grid.shape)
+        vals = np.broadcast_to(self.eval(xis), (len(xis),) + grid.shape)
         finite = np.isfinite(vals).reshape(len(xis), -1).all(axis=1)
         if not finite.all():
             raise SymbolDomainError(

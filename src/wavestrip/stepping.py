@@ -34,10 +34,6 @@ class CFLError(ValueError):
     """Step size violates the dispersive stability guard."""
 
 
-class MonitorAbort(RuntimeError):
-    """A runtime admissibility monitor tripped."""
-
-
 # admissibility limits of every run
 CFL_SAFETY = 2.5  # largest dt * omega_max
 DEPTH_FLOOR = 0.5  # smallest depth, as a fraction of the still depth h
@@ -170,16 +166,15 @@ parabolic_step = rk4_step
 
 def _diagnose(state: SurfaceState, cfg: StepConfig, sol: DNOSolution,
               step_index: int, pou: PartitionOfUnity | None) -> DiagnosticsRecord:
-    ham = hamiltonian(state, cfg.dno, sol=sol)
+    ham = hamiltonian(state, sol)
     monitored = cfg.taylor_every is not None and step_index % cfg.taylor_every == 0
     min_taylor = sym_energy = np.nan
     if monitored or cfg.symmetrized_s is not None:
         # one pressure solve serves the monitor and the symmetrizer (a > 0)
         a_field, min_taylor = taylor_coefficient(state, sol, cfg.dno)
         if cfg.symmetrized_s is not None and min_taylor > TAYLOR_FLOOR:
-            traces, _ = trace_velocities(state, cfg.dno, sol=sol)
-            traces.a = a_field
-            pair = symmetrized_pair(state, traces, cfg.symmetrized_s)
+            traces = trace_velocities(state, sol)
+            pair = symmetrized_pair(state, traces, a_field, cfg.symmetrized_s)
             sym_energy = symmetrized_energy(pair, pou)[2]
     ul_norms = {}
     for s in cfg.ul_norm_s:
@@ -233,13 +228,13 @@ def integrate(state: SurfaceState, T: float, cfg: StepConfig, sink=None,
             if sink is not None:
                 sink(rec)
             if rec.min_depth < depth_floor:
-                raise MonitorAbort(
-                    f"depth monitor: min depth {rec.min_depth:.4g} < "
-                    f"floor {depth_floor:.4g} at t = {current.t:.6g}")
+                status = (f"aborted: depth monitor: min depth {rec.min_depth:.4g} < "
+                          f"floor {depth_floor:.4g} at t = {current.t:.6g}")
+                break
             if rec.min_taylor <= TAYLOR_FLOOR:
-                raise MonitorAbort(
-                    f"Taylor monitor: min a {rec.min_taylor:.4g} <= "
-                    f"floor {TAYLOR_FLOOR:.4g} at t = {current.t:.6g}")
+                status = (f"aborted: Taylor monitor: min a {rec.min_taylor:.4g} <= "
+                          f"floor {TAYLOR_FLOOR:.4g} at t = {current.t:.6g}")
+                break
             if step_index == n_steps:
                 break
             current = rk4_step(current, cfg, rhs=rhs, k1=(eta_t, psi_t))
@@ -247,9 +242,6 @@ def integrate(state: SurfaceState, T: float, cfg: StepConfig, sink=None,
                 states.append(current)
             else:
                 states[-1] = current
-        except MonitorAbort as exc:
-            status = f"aborted: {exc}"
-            break
         except (CFLError, EllipticSolveError, StraighteningError) as exc:
             status = f"aborted: {type(exc).__name__}: {exc}"
             break

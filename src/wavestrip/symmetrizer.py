@@ -54,11 +54,11 @@ def symmetrizer_symbols(a: Field, eta: Field) -> tuple[ParaSymbol, ParaSymbol]:
         )
     lam = dno_principal_symbol(eta)
 
-    def gamma_eval(xm, xis):
-        return np.sqrt(a.values * lam.eval(xm, xis))
+    def gamma_eval(xis):
+        return np.sqrt(a.values * lam.eval(xis))
 
-    def q_eval(xm, xis):
-        return np.sqrt(a.values / lam.eval(xm, xis))
+    def q_eval(xis):
+        return np.sqrt(a.values / lam.eval(xis))
 
     gamma = ParaSymbol(order=0.5, regularity=0.5, eval=gamma_eval, homogeneous=True)
     q = ParaSymbol(order=-0.5, regularity=0.5, eval=q_eval, homogeneous=True)
@@ -70,13 +70,12 @@ def theta_field(zeta_s: tuple[Field, ...], q_sym: ParaSymbol) -> tuple[Field, ..
     return tuple(paradiff_apply(q_sym, z) for z in zeta_s)
 
 
-def symmetrized_pair(state: SurfaceState, traces: TraceFields, s: float
-                     ) -> SymmetrizedPair:
-    """Assemble (U_s, theta_s) from a state with its Taylor coefficient."""
-    if traces.a is None:
-        raise ValueError("traces must carry the Taylor coefficient")
+def symmetrized_pair(state: SurfaceState, traces: TraceFields, a: Field,
+                     s: float) -> SymmetrizedPair:
+    """Assemble (U_s, theta_s) from a state, its surface traces and its
+    Taylor coefficient ``a``, all from the state's one potential solve."""
     us, zeta_s = good_unknowns(state, traces, s)
-    _, q = symmetrizer_symbols(traces.a, state.eta)
+    _, q = symmetrizer_symbols(a, state.eta)
     return SymmetrizedPair(Us=us, theta_s=theta_field(zeta_s, q), s=s)
 
 

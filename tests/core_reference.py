@@ -5,14 +5,27 @@ The paper rewrites the water-wave system in the unknowns (B, V, zeta) of
 three states evenly spaced in time and check that centered differences
 satisfy those equations: exactly at rest, and to O(eps^2) on a linear
 standing wave of amplitude eps.  The solver marches (eta, psi) and never
-forms these residuals.
+forms these residuals.  ``solved`` gives a state its potential solve, the
+one that ``trace_velocities``, ``taylor_coefficient`` and ``hamiltonian``
+take.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from wavestrip.core import SurfaceState, taylor_coefficient, trace_velocities
-from wavestrip.dno import DNOParams, dno_solve
+from wavestrip.dno import (
+    DNOParams,
+    DNOSolution,
+    dno_solve,
+    solve_laplace,
+    surface_flux,
+)
 from wavestrip.grid import Field, dealiased_product, norm_l2, spectral_gradient
+
+
+def solved(state: SurfaceState, params: DNOParams) -> DNOSolution:
+    """The potential solve of ``state`` at its own depth h, as ww_rhs makes it."""
+    return dno_solve(state.eta, state.psi, replace(params, h=state.h))
 
 
 @dataclass
@@ -46,32 +59,35 @@ def reformulated_residuals(prev: SurfaceState, cur: SurfaceState,
     dt_b = cur.t - prev.t
     if dt_f <= 0 or abs(dt_f - dt_b) > 1e-12 * max(dt_f, dt_b):
         raise ValueError("states must be uniformly spaced in time")
-    params = cur.dno_params(params)
-
-    tr_prev, _ = trace_velocities(prev, params)
-    tr_next, _ = trace_velocities(nxt, params)
-    traces, sol = trace_velocities(cur, params)
-    traces.a, _ = taylor_coefficient(cur, sol, params)
+    tr_prev = trace_velocities(prev, solved(prev, params))
+    tr_next = trace_velocities(nxt, solved(nxt, params))
+    sol = solved(cur, params)
+    traces = trace_velocities(cur, sol)
+    a, _ = taylor_coefficient(cur, sol, params)
+    dom = sol.dom
     grid = cur.eta.grid
     two_dt = dt_f + dt_b
 
     r_B = Field(grid, (tr_next.B.values - tr_prev.B.values) / two_dt) \
-        + _advect(traces.V, traces.B) - (traces.a - cur.g)
+        + _advect(traces.V, traces.B) - (a - cur.g)
 
     r_V = []
     for i, vi in enumerate(traces.V):
         dv = Field(grid, (tr_next.V[i].values - tr_prev.V[i].values) / two_dt)
         zeta_i = spectral_gradient(cur.eta)[i]
-        r_V.append(dv + _advect(traces.V, vi) + dealiased_product(traces.a, zeta_i))
+        r_V.append(dv + _advect(traces.V, vi) + dealiased_product(a, zeta_i))
 
     zeta_prev = spectral_gradient(prev.eta)
     zeta_next = spectral_gradient(nxt.eta)
     zeta_cur = spectral_gradient(cur.eta)
-    gb = dno_solve(cur.eta, traces.B, params, dom=sol.dom).gpsi
+    # G(eta) of B and V on the domain of cur's own solve
+    gb = surface_flux(dom, solve_laplace(dom, traces.B, tol=params.tol,
+                                         maxiter=params.maxiter))
     r_zeta = []
     for i in range(grid.dim):
         dz = Field(grid, (zeta_next[i].values - zeta_prev[i].values) / two_dt)
-        gv = dno_solve(cur.eta, traces.V[i], params, dom=sol.dom).gpsi
+        gv = surface_flux(dom, solve_laplace(dom, traces.V[i], tol=params.tol,
+                                             maxiter=params.maxiter))
         r_zeta.append(dz + _advect(traces.V, zeta_cur[i])
                       - gv - dealiased_product(zeta_cur[i], gb))
 

@@ -55,7 +55,7 @@ def x_independent_symbol(order: float, h, regularity: float = 1.0,
     return ParaSymbol(
         order=order,
         regularity=regularity,
-        eval=lambda xm, xis: np.reshape(h(xis), (-1,) + (1,) * len(xm)),
+        eval=lambda xis: np.reshape(h(xis), (-1,) + (1,) * xis.shape[1]),
         homogeneous=homogeneous,
     )
 
@@ -66,7 +66,7 @@ def separable_symbol(b: Field, order: float, h, regularity: float = 1.0,
     return ParaSymbol(
         order=order,
         regularity=regularity,
-        eval=lambda xm, xis: b.values * np.reshape(h(xis), (-1,) + (1,) * len(xm)),
+        eval=lambda xis: b.values * np.reshape(h(xis), (-1,) + (1,) * xis.shape[1]),
         homogeneous=homogeneous,
     )
 

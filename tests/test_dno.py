@@ -55,10 +55,17 @@ def flat_dno_oracle(psi: Field, h: float) -> Field:
     ("zpoints", 2, "zpoints"),
     ("tol", 0.0, "tol"),
     ("maxiter", 0, "maxiter"),
+    ("h", np.inf, "depth"),
+    ("delta", np.inf, "delta"),
+    ("zpoints", 24.0, "zpoints"),
+    ("zpoints", 24.5, "zpoints"),
+    ("maxiter", True, "maxiter"),
 ])
 def test_dno_params_reject_values_that_break_the_solve(field, value, match):
     # zpoints 2 leaves no interior node, maxiter 0 no GMRES cycle, tol 0 a
-    # target below rounding, and delta < 0 makes E(delta z) amplify high modes
+    # target below rounding, and delta < 0 makes E(delta z) amplify high modes;
+    # an infinite h returns a wrong G(eta) psi, and an infinite delta, a
+    # non-integral zpoints or a bool maxiter fails later inside the solve
     with pytest.raises(ValueError, match=match):
         DNOParams(**{field: value})
 
@@ -77,6 +84,8 @@ def test_strip_solver_rejects_the_limits_dno_params_rejects(limits, match):
 def test_dno_params_accept_the_edge_values():
     params = DNOParams(delta=0.0, zpoints=3, maxiter=1)
     assert (params.delta, params.zpoints, params.maxiter) == (0.0, 3, 1)
+    params = DNOParams(zpoints=np.int64(24), maxiter=np.int32(5))
+    assert (params.zpoints, params.maxiter) == (24, 5)
 
 
 def test_cheb_matrix_differentiates_polynomials():
@@ -301,8 +310,9 @@ def test_dno_self_adjoint_positive_annihilates():
     psi1 = band_limited(2, 10, 1.0)
     psi2 = band_limited(3, 10, 1.0)
     sol1 = dno_solve(eta, psi1, PARAMS)
-    sol2 = dno_solve(eta, psi2, PARAMS, dom=sol1.dom)
-    sym = inner_l2(sol1.gpsi, psi2) - inner_l2(psi1, sol2.gpsi)
+    gpsi2 = surface_flux(sol1.dom, solve_laplace(sol1.dom, psi2, tol=PARAMS.tol,
+                                                 maxiter=PARAMS.maxiter))
+    sym = inner_l2(sol1.gpsi, psi2) - inner_l2(psi1, gpsi2)
     assert abs(sym) <= 1e-8 * norm_l2(psi1) * norm_l2(psi2)
     assert inner_l2(psi1, sol1.gpsi) >= -1e-10
     g_one = dirichlet_neumann(eta, Field(GRID, np.ones(GRID.shape)), PARAMS)
@@ -343,8 +353,7 @@ def test_principal_symbol_matches_quadratic_form(points):
         dotted = sum(g * xi_c for g, xi_c in zip(grads, xi))
         xi2 = sum(xi_c ** 2 for xi_c in xi)
         ref = np.sqrt((1.0 + sum(g ** 2 for g in grads)) * xi2 - dotted ** 2)
-        lam = np.broadcast_to(dno_principal_symbol(eta).eval(grid.meshes(), xis),
-                              ref.shape)
+        lam = np.broadcast_to(dno_principal_symbol(eta).eval(xis), ref.shape)
         assert np.max(np.abs(lam - ref) / ref) < 1e-14
 
 
@@ -377,8 +386,9 @@ def test_dno_remainder_half_order_gain():
     for k in ks:
         psi = Field(GRID, np.exp(1j * k * x))
         sol_r = dno_solve(eta, Field(GRID, np.cos(k * x)), PARAMS)
-        sol_i = dno_solve(eta, Field(GRID, np.sin(k * x)), PARAMS, dom=sol_r.dom)
-        g = Field(GRID, sol_r.gpsi.values + 1j * sol_i.gpsi.values)
+        gpsi_i = surface_flux(sol_r.dom, solve_laplace(
+            sol_r.dom, Field(GRID, np.sin(k * x)), tol=PARAMS.tol, maxiter=PARAMS.maxiter))
+        g = Field(GRID, sol_r.gpsi.values + 1j * gpsi_i.values)
         from wavestrip.paradiff import paradiff_apply
 
         t = paradiff_apply(dno_principal_symbol(eta), psi)
@@ -396,7 +406,7 @@ def test_divergence_identity_gain():
         eta = field_from_function(GRID, lambda x: 0.05 * np.cos(x))
         psi = field_from_function(GRID, lambda x: np.cos(k * x))
         state = SurfaceState(eta=eta, psi=psi, t=0.0, g=1.0, h=1.0)
-        traces, aux = trace_velocities(state, PARAMS)
+        traces = trace_velocities(state, dno_solve(eta, psi, PARAMS))
         gb = dirichlet_neumann(eta, traces.B, PARAMS)
         divv = divergence(traces.V)
         num = sobolev_norm(gb + divv, -0.5)
@@ -552,9 +562,10 @@ def test_guess_equal_to_solution_converges_at_once():
     eta = field_from_function(GRID, lambda x: 0.1 * np.cos(x))
     psi = field_from_function(GRID, lambda x: np.sin(x) + 0.3 * np.cos(3 * x))
     cold = dno_solve(eta, psi, PARAMS)
-    warm = dno_solve(eta, psi, PARAMS, dom=cold.dom, guess=cold)
-    assert iterations(warm) <= 1
-    assert np.max(np.abs(warm.phi.values - cold.phi.values)) < 1e-12
+    warm = solve_laplace(cold.dom, psi, tol=PARAMS.tol, maxiter=PARAMS.maxiter,
+                         guess=cold.phi)
+    assert warm.iterations <= 1
+    assert np.max(np.abs(warm.values - cold.phi.values)) < 1e-12
 
 
 def test_solved_field_restarts_exactly_on_a_domain_straightened_again():

@@ -1,9 +1,11 @@
 """Guards on what the package promises: its module docstrings name only
-things it ships, no module under src/ reaches into the tests, and no module
-imports a name it does not use."""
+things it ships, no module under src/ reaches into the tests, no module
+imports a name it does not use, and the settable values do not grow."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import pathlib
 import pkgutil
 import re
@@ -41,7 +43,7 @@ def _resolves(dotted: str, module) -> bool:
 @pytest.mark.parametrize("name", MODULES)
 def test_module_docstring_names_exist(name):
     module = importlib.import_module(name)
-    # ``ParaSymbol.eval(x_meshes, xis)`` names ParaSymbol.eval
+    # ``ParaSymbol.eval(xis)`` names ParaSymbol.eval
     named = [m.split("(")[0].strip()
              for m in re.findall(r"``(.+?)``", module.__doc__ or "", re.S)]
     missing = [n for n in named if not _resolves(n, module)]
@@ -79,3 +81,43 @@ def test_src_has_no_unused_imports(path):
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             used |= set(ast.literal_eval(node.value))
     assert not imported - used, f"{path.name} imports {sorted(imported - used)} unused"
+
+
+# Raise only together with a CHANGES.md line that names the new option and
+# the two values of it in use outside the tests (or the failure path that
+# only it reaches).
+MAX_SETTABLE_VALUES = 49
+
+
+def _settable_values() -> list[str]:
+    """Dataclass fields with defaults and parameters with defaults of every
+    function and method defined in the modules under wavestrip; an alias
+    (one object under two names) counts once."""
+    seen, found = set(), []
+    for name in MODULES[1:]:
+        module = importlib.import_module(name)
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != name or id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            functions = [obj] if inspect.isfunction(obj) else []
+            if inspect.isclass(obj):
+                is_dc = dataclasses.is_dataclass(obj)
+                if is_dc:
+                    found += [f"{obj.__qualname__}.{f.name}" for f in dataclasses.fields(obj)
+                              if f.default is not dataclasses.MISSING
+                              or f.default_factory is not dataclasses.MISSING]
+                # a dataclass __init__ repeats the fields
+                functions = [v for k, v in vars(obj).items()
+                             if inspect.isfunction(v) and not (is_dc and k == "__init__")]
+            for fn in functions:
+                found += [f"{fn.__qualname__}({p.name})"
+                          for p in inspect.signature(fn).parameters.values()
+                          if p.default is not inspect.Parameter.empty]
+    return found
+
+
+def test_settable_values_do_not_grow():
+    found = _settable_values()
+    assert len(found) <= MAX_SETTABLE_VALUES, \
+        f"{len(found)} settable values, at most {MAX_SETTABLE_VALUES}: {found}"

@@ -18,6 +18,7 @@ from wavestrip.symmetrizer import (
 )
 from wavestrip.ulspaces import PartitionOfUnity
 
+from core_reference import solved
 from symmetrizer_reference import EllipticityError, decoupling_symbols
 
 GRID = make_grid([2 * np.pi], [128])
@@ -32,8 +33,7 @@ def make_state(eta_fn, psi_fn, g=1.0):
 
 def test_good_unknowns_rest():
     state = make_state(lambda x: 0.0 * x, lambda x: 0.0 * x)
-    traces, sol = trace_velocities(state, PARAMS)
-    traces.a, _ = taylor_coefficient(state, sol, PARAMS)
+    traces = trace_velocities(state, solved(state, PARAMS))
     us, zs = good_unknowns(state, traces, 2.0)
     assert norm_l2(us[0]) < 1e-12
     assert norm_l2(zs[0]) < 1e-12
@@ -41,7 +41,7 @@ def test_good_unknowns_rest():
 
 def test_good_unknowns_flat_surface_reduction():
     state = make_state(lambda x: 0.0 * x, lambda x: np.sin(2 * x))
-    traces, _ = trace_velocities(state, PARAMS)
+    traces = trace_velocities(state, solved(state, PARAMS))
     us, _ = good_unknowns(state, traces, 1.5)
     expected = bessel_potential(traces.V[0], 1.5)
     assert np.max(np.abs(us[0].values - expected.values)) < 1e-11
@@ -51,7 +51,7 @@ def test_good_unknowns_against_truncated_series_oracle():
     """T_zeta <D>^s B evaluated by the closed-form exponential-pair weights."""
     s = 2.0
     state = make_state(lambda x: 0.05 * np.cos(x), lambda x: np.sin(x))
-    traces, _ = trace_velocities(state, PARAMS)
+    traces = trace_velocities(state, solved(state, PARAMS))
     us, _ = good_unknowns(state, traces, s)
 
     bs = bessel_potential(traces.B, s)
@@ -219,8 +219,8 @@ def test_symmetrized_energy_rest_and_scaling():
 
 def test_symmetrized_pair_assembly():
     state = make_state(lambda x: 0.02 * np.cos(x), lambda x: 0.02 * np.sin(x))
-    traces, sol = trace_velocities(state, PARAMS)
-    traces.a, _ = taylor_coefficient(state, sol, PARAMS)
-    pair = symmetrized_pair(state, traces, 2.0)
+    sol = solved(state, PARAMS)
+    a, _ = taylor_coefficient(state, sol, PARAMS)
+    pair = symmetrized_pair(state, trace_velocities(state, sol), a, 2.0)
     assert len(pair.Us) == 1 and len(pair.theta_s) == 1
     assert symmetrized_energy(pair, POU)[2] > 0.0
