@@ -30,6 +30,7 @@ third the energy from G(eta) psi.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,7 +38,6 @@ import numpy as np
 from wavestrip.dno import (
     DNOParams,
     DNOSolution,
-    StraightenedField,
     dno_solve,
     solve_laplace,
 )
@@ -52,7 +52,11 @@ from wavestrip.grid import (
 
 @dataclass
 class SurfaceState:
-    """Free-surface elevation and surface potential at one instant."""
+    """Free-surface elevation and surface potential at one instant.
+
+    eta and psi are real and finite on one grid; gravity g and the still
+    depth h are positive and finite.
+    """
 
     eta: Field
     psi: Field
@@ -65,6 +69,11 @@ class SurfaceState:
             raise ValueError("surface fields must be real")
         if self.eta.grid != self.psi.grid:
             raise ValueError("eta and psi must be sampled on one grid")
+        if not (np.all(np.isfinite(self.eta.values)) and np.all(np.isfinite(self.psi.values))):
+            raise ValueError("eta and psi must be finite")
+        if not (0 < self.g < math.inf and 0 < self.h < math.inf):
+            raise ValueError(
+                f"g and h must be positive and finite, got g = {self.g}, h = {self.h}")
 
     def min_depth(self) -> float:
         return float(np.min(self.eta.values) + self.h)
@@ -136,15 +145,14 @@ def taylor_coefficient(state: SurfaceState, sol: DNOSolution,
     # [Lambda_1 Phi, Lambda_2 Phi], then Lambda_i of each of them at [i, j]
     first = dom.chain_gradient(phi)
     hess_sq = np.sum(dom.chain_gradient(first) ** 2, axis=(0, 1))
-    source = StraightenedField(dom, -dom.alpha * hess_sq)
 
     # Bernoulli bottom data: conormal(P) = -conormal(|grad Phi|^2 / 2) - g
     # (d_t Phi has no flux through the bottom), and conormal(g rho) = g
     half_speed2 = 0.5 * np.sum(first ** 2, axis=0)
     flux = Field(grid, -dom.conormal_flux(half_speed2, -1))
 
-    q = solve_laplace(dom, state.g * state.eta, source=source, bottom_flux=flux,
-                      tol=params.tol, maxiter=params.maxiter)
+    q = solve_laplace(dom, state.g * state.eta, source=-dom.alpha * hess_sq,
+                      bottom_flux=flux, tol=params.tol, maxiter=params.maxiter)
     a_vals = state.g - np.tensordot(dom.Dz[0], q.values, axes=1) / dom.drho_z[0]
     a = Field(grid, a_vals)
     return a, float(np.min(a_vals))

@@ -206,17 +206,17 @@ def _z_line(zpoints: int) -> _ZLine:
 
 @dataclass
 class StraightenedDomain:
-    """rho(x, z), its derivatives, and the elliptic coefficients on the strip."""
+    """rho(x, z), the derivatives of rho the solves read, and the elliptic
+    coefficients on the strip; ``delta`` is the smoothing used, after any
+    halvings."""
 
     grid: PeriodicGrid
-    h: float
     delta: float
     z: np.ndarray                      # Chebyshev nodes, z[0] = 0, z[-1] = -1
     Dz: np.ndarray                     # differentiation matrix in z
     rho: np.ndarray                    # (Nz, *grid.shape)
     drho_z: np.ndarray
     drho_x: tuple[np.ndarray, ...]
-    d2rho_z: np.ndarray
     alpha: np.ndarray
     beta: tuple[np.ndarray, ...]
     gamma: np.ndarray
@@ -281,7 +281,6 @@ def straighten(eta: Field, h: float, delta: float = DNOParams.delta,
 
     # the domain keeps copies, not views that would hold the whole stack
     rho = rho + h * zc
-    d2rho_z = d2rho_z.copy()
     drho_x = tuple(g.copy() for g in grads[:grid.dim])
     grad_drho_z = grads[grid.dim:]
     grad2 = sum(g ** 2 for g in drho_x)
@@ -290,9 +289,8 @@ def straighten(eta: Field, h: float, delta: float = DNOParams.delta,
     gamma = (d2rho_z + alpha * lap_rho
              + sum(b * g for b, g in zip(beta, grad_drho_z))) / drho_z
     return StraightenedDomain(
-        grid=grid, h=h, delta=delta, z=line.z, Dz=line.Dz, rho=rho,
-        drho_z=drho_z, drho_x=drho_x, d2rho_z=d2rho_z, alpha=alpha, beta=beta,
-        gamma=gamma,
+        grid=grid, delta=delta, z=line.z, Dz=line.Dz, rho=rho, drho_z=drho_z,
+        drho_x=drho_x, alpha=alpha, beta=beta, gamma=gamma,
     )
 
 
@@ -347,15 +345,14 @@ def straighten_adaptive(eta: Field, params: DNOParams) -> StraightenedDomain:
 
 @dataclass
 class StraightenedField:
-    """Samples on the (x, z) tensor grid of a straightened domain."""
+    """A field solved by ``StripSolver.solve`` on the (x, z) tensor grid."""
 
-    dom: StraightenedDomain
-    values: np.ndarray  # (Nz, *grid.shape); row 0 is the surface z = 0
-    # of a solved field: its GMRES unknown, iteration count and true relative
+    values: np.ndarray  # (nz, *grid.shape); row 0 is the surface z = 0
+    # its GMRES unknown Phi[1:] - surface, iteration count and true relative
     # residual |b - A unknown| / |b| (0 when b = 0)
-    unknown: np.ndarray | None = None
-    iterations: int = 0
-    residual: float = 0.0
+    unknown: np.ndarray
+    iterations: int
+    residual: float
 
 
 class StripSolver:
@@ -562,7 +559,7 @@ class StripSolver:
         phi[:] = surface
         if bnorm == 0.0:
             self.last_iterations = 0
-            return StraightenedField(dom, phi, np.zeros((nz - 1,) + shape), 0)
+            return StraightenedField(phi, np.zeros((nz - 1,) + shape), 0, 0.0)
 
         sol, residual, history = self._gmres(bvec, bnorm, x0)
         self.last_iterations = len(history)
@@ -570,28 +567,26 @@ class StripSolver:
             raise EllipticSolveError(residual, history)
         u = sol.reshape((nz - 1,) + shape)
         phi[1:] += u
-        return StraightenedField(dom, phi, u, len(history), residual)
+        return StraightenedField(phi, u, len(history), residual)
 
 
 def solve_laplace(dom: StraightenedDomain, psi: Field,
-                  source: StraightenedField | None = None,
+                  source: np.ndarray | None = None,
                   bottom_flux: Field | None = None,
                   tol: float = DNOParams.tol, maxiter: int = DNOParams.maxiter,
                   guess: StraightenedField | None = None) -> StraightenedField:
     """Solve the straightened strip problem with real surface trace psi.
 
-    ``bottom_flux`` prescribes the conormal data (g1 d_z - g2 . grad_x) at
-    z = -1 (physical no-flux through the bottom when zero).  ``guess`` is a
-    solved field whose unknown starts GMRES (see StripSolver.solve).  Each
-    call builds its own StripSolver and returns the field it solved, with
-    its GMRES unknown and iteration count.
+    ``source`` is the interior right-hand side F, an array of shape
+    (nz, *grid.shape) whose interior rows are read.  ``bottom_flux``
+    prescribes the conormal data (g1 d_z - g2 . grad_x) at z = -1 (physical
+    no-flux through the bottom when zero).  ``guess`` is a solved field
+    whose unknown starts GMRES (see StripSolver.solve).  Each call builds
+    its own StripSolver and returns the field it solved.
     """
     return StripSolver(dom, tol=tol, maxiter=maxiter).solve(
-        psi.values,
-        None if source is None else source.values,
-        None if bottom_flux is None else bottom_flux.values,
-        guess,
-    )
+        psi.values, source,
+        None if bottom_flux is None else bottom_flux.values, guess)
 
 
 @dataclass

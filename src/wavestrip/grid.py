@@ -46,8 +46,8 @@ class PeriodicGrid:
         if len(self.points) not in (1, 2):
             raise InvalidGridError("only 1- and 2-dimensional grids are supported")
         for L, n in zip(self.lengths, self.points):
-            if L <= 0:
-                raise InvalidGridError(f"period must be positive, got {L}")
+            if not 0 < L < np.inf:
+                raise InvalidGridError(f"period must be positive and finite, got {L}")
             if n < 8 or n % 2 != 0:
                 raise InvalidGridError(f"point count must be even and >= 8, got {n}")
         ks = tuple(

@@ -12,7 +12,8 @@ diagnostics every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +25,13 @@ from wavestrip.core import (
     trace_velocities,
     ww_rhs,
 )
-from wavestrip.dno import DNOParams, DNOSolution, EllipticSolveError, StraighteningError
+from wavestrip.dno import (
+    DNOParams,
+    DNOSolution,
+    EllipticSolveError,
+    StraighteningError,
+    _is_count,
+)
 from wavestrip.grid import heat_propagator
 from wavestrip.symmetrizer import symmetrized_energy, symmetrized_pair
 from wavestrip.ulspaces import PartitionOfUnity, ul_sobolev_norm
@@ -57,12 +64,14 @@ class StepConfig:
     symmetrized_s: float | None = None
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if self.taylor_every is not None and self.taylor_every < 1:
-            raise ValueError("taylor_every must be >= 1")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be nonnegative and finite, got {self.epsilon}")
+        if self.taylor_every is not None and not (
+                _is_count(self.taylor_every) and self.taylor_every >= 1):
+            raise ValueError(
+                f"taylor_every must be an integer >= 1 or None, got {self.taylor_every!r}")
         if self.scheme not in ("rk4", "parabolic-duhamel"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.scheme == "rk4" and self.epsilon > 0:
@@ -79,18 +88,18 @@ class DiagnosticsRecord:
     min_depth: float
     min_taylor: float  # nan on steps where the pressure solve is skipped
     symmetrized_energy: float  # nan unless min_taylor > TAYLOR_FLOOR
-    ul_norms: dict[str, float] = dc_field(default_factory=dict)
+    ul_norms: dict[str, float]
     # of the state's potential solve: GMRES "potential_iterations", true
     # relative "potential_residual", and the "potential_delta" (after any
     # halvings) and "potential_min_dz_rho" (min d_z rho) of its straightening
-    extra: dict[str, float] = dc_field(default_factory=dict)
+    extra: dict[str, float]
 
 
 @dataclass
 class Trajectory:
     states: list[SurfaceState]
     records: list[DiagnosticsRecord]
-    status: str = "ok"
+    status: str  # "ok", or "aborted: " and the cause
 
     def final(self) -> SurfaceState:
         return self.states[-1]
@@ -125,17 +134,14 @@ def _default_rhs(cfg: StepConfig):
     return rhs
 
 
-def rk4_step(state: SurfaceState, cfg: StepConfig, rhs=None,
-             k1=None) -> SurfaceState:
+def rk4_step(state: SurfaceState, cfg: StepConfig, rhs, k1) -> SurfaceState:
     """One Lawson RK4 step of the eps-regularized system; classical RK4 at eps 0.
 
     ``rhs(state)`` returns the tendencies (eta_t, psi_t, ...) of the
-    unregularized system, and ``k1`` is its value at ``state`` when the
-    caller has it.  Given k1, a step makes 3 RHS calls, none at ``state``.
+    unregularized system, and ``k1`` is the pair (eta_t, psi_t) at
+    ``state``.  A step makes 3 RHS calls, none at ``state``.
     """
     check_cfl(state, cfg)
-    if rhs is None:
-        rhs = _default_rhs(cfg)
     dt, eps = cfg.dt, cfg.epsilon
 
     def E(f, t):
@@ -146,8 +152,6 @@ def rk4_step(state: SurfaceState, cfg: StepConfig, rhs=None,
         return SurfaceState(eta=pair[0], psi=pair[1], t=t, g=state.g, h=state.h)
 
     u = (state.eta, state.psi)
-    if k1 is None:
-        k1 = rhs(state)[:2]
     t_half = state.t + dt / 2
     k2 = rhs(at(t_half, [E(f + (dt / 2) * k, dt / 2) for f, k in zip(u, k1)]))[:2]
     k3 = rhs(at(t_half, [E(f, dt / 2) + (dt / 2) * k for f, k in zip(u, k2)]))[:2]
@@ -175,7 +179,7 @@ def _diagnose(state: SurfaceState, cfg: StepConfig, sol: DNOSolution,
         if cfg.symmetrized_s is not None and min_taylor > TAYLOR_FLOOR:
             traces = trace_velocities(state, sol)
             pair = symmetrized_pair(state, traces, a_field, cfg.symmetrized_s)
-            sym_energy = symmetrized_energy(pair, pou)[2]
+            sym_energy = symmetrized_energy(pair, pou)
     ul_norms = {}
     for s in cfg.ul_norm_s:
         ul_norms[f"eta_H{s}"] = ul_sobolev_norm(state.eta, s, pou)
@@ -197,7 +201,7 @@ def integrate(state: SurfaceState, T: float, cfg: StepConfig, sink=None,
 
     Each step is one ``rk4_step``, the Lawson RK4 of the eps-regularized
     system (classical RK4 at eps 0), handed the RHS that the step's record
-    was diagnosed from.  T must be a nonnegative whole number of steps.
+    was diagnosed from.  T must be a nonnegative, finite whole number of steps.
     Monitor violations and solver failures (elliptic stall, straightening,
     CFL) return the trajectory up to the failure with a non-ok status; a
     step that forms the Taylor coefficient (with symmetrized_s set, every
@@ -206,8 +210,9 @@ def integrate(state: SurfaceState, T: float, cfg: StepConfig, sink=None,
     evenly across the walls, is 2w-periodic in y, and that symmetry is kept
     by the flow.
     """
-    if T < 0:
-        raise ValueError(f"T = {T:.6g} is negative")
+    if not 0 <= T / cfg.dt < math.inf:
+        raise ValueError(f"T = {T:.6g} is negative or not a finite number of steps "
+                         f"dt = {cfg.dt:.6g}")
     n_steps = int(round(T / cfg.dt))
     if abs(n_steps * cfg.dt - T) > 1e-9 * T:
         raise ValueError(f"T = {T:.6g} is not a whole number of steps dt = {cfg.dt:.6g}")
@@ -237,7 +242,7 @@ def integrate(state: SurfaceState, T: float, cfg: StepConfig, sink=None,
                 break
             if step_index == n_steps:
                 break
-            current = rk4_step(current, cfg, rhs=rhs, k1=(eta_t, psi_t))
+            current = rk4_step(current, cfg, rhs, (eta_t, psi_t))
             if keep_states:
                 states.append(current)
             else:

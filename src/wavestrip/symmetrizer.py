@@ -65,23 +65,19 @@ def symmetrizer_symbols(a: Field, eta: Field) -> tuple[ParaSymbol, ParaSymbol]:
     return gamma, q
 
 
-def theta_field(zeta_s: tuple[Field, ...], q_sym: ParaSymbol) -> tuple[Field, ...]:
-    """theta_s = T_q zeta_s, componentwise."""
-    return tuple(paradiff_apply(q_sym, z) for z in zeta_s)
-
-
 def symmetrized_pair(state: SurfaceState, traces: TraceFields, a: Field,
                      s: float) -> SymmetrizedPair:
     """Assemble (U_s, theta_s) from a state, its surface traces and its
-    Taylor coefficient ``a``, all from the state's one potential solve."""
+    Taylor coefficient ``a``, all from the state's one potential solve;
+    theta_s = T_q zeta_s, componentwise."""
     us, zeta_s = good_unknowns(state, traces, s)
     _, q = symmetrizer_symbols(a, state.eta)
-    return SymmetrizedPair(Us=us, theta_s=theta_field(zeta_s, q), s=s)
+    theta_s = tuple(paradiff_apply(q, z) for z in zeta_s)
+    return SymmetrizedPair(Us=us, theta_s=theta_s, s=s)
 
 
-def symmetrized_energy(pair: SymmetrizedPair, pou: PartitionOfUnity
-                       ) -> tuple[float, float, float]:
-    """(||U_s||^2, ||theta_s||^2, sum) in the uniformly local L^2 norm."""
+def symmetrized_energy(pair: SymmetrizedPair, pou: PartitionOfUnity) -> float:
+    """||U_s||^2 + ||theta_s||^2, each in the uniformly local L^2 norm."""
     e_u = sum(ul_sobolev_norm(u, 0.0, pou) ** 2 for u in pair.Us)
     e_t = sum(ul_sobolev_norm(t, 0.0, pou) ** 2 for t in pair.theta_s)
-    return float(e_u), float(e_t), float(e_u + e_t)
+    return float(e_u + e_t)

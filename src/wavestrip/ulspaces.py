@@ -11,6 +11,7 @@ leading axes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 import scipy.fft as sfft
@@ -37,9 +38,12 @@ def bump_profile(r: np.ndarray, flat: float = 0.5, zero: float = 1.0) -> np.ndar
 class PartitionOfUnity:
     """Window family chi_q on the torus with sum_q chi_q = 1 at every node.
 
-    The raw window is a tensor product of 1-D bumps (standard exp(-1/t)
-    mollifier construction) placed on near-unit-spaced centers; renormalizing
-    by the periodic window sum makes the partition identity exact.
+    Each axis of period L carries n_q = max(1, round(L)) centers L q / n_q
+    and one 1-D bump (standard exp(-1/t) mollifier construction) per center,
+    of the distance wrapped to [-L/2, L/2) over the spacing L / n_q.  The raw
+    windows are the tensor products of those bumps, one per center tuple in
+    ``centers`` (row-major over the axes); renormalizing by the window sum
+    makes the partition identity exact.
     """
 
     grid: PeriodicGrid
@@ -51,40 +55,23 @@ class PartitionOfUnity:
     def __post_init__(self):
         if not (0.0 < self.flat < self.zero <= 1.0):
             raise ValueError("window profile requires 0 < flat < zero <= 1")
-        grid = self.grid
-        axes = grid.axes()
-        per_axis_centers = []
-        per_axis_spacing = []
-        for L in grid.lengths:
+        dim = self.grid.dim
+        raw, axis_centers = np.ones(()), []
+        for ax, (L, x) in enumerate(zip(self.grid.lengths, self.grid.axes())):
             n_q = max(1, int(round(L)))
-            per_axis_spacing.append(L / n_q)
-            per_axis_centers.append([L * q / n_q for q in range(n_q)])
-        # 1-D window factors, periodized over the torus images
-        factors = []
-        for ax, (L, cs, h) in enumerate(
-            zip(grid.lengths, per_axis_centers, per_axis_spacing)
-        ):
-            x = axes[ax]
-            fax = np.empty((len(cs), len(x)))
-            for i, c in enumerate(cs):
-                d = x - c
-                d = (d + L / 2.0) % L - L / 2.0  # wrap to [-L/2, L/2)
-                fax[i] = bump_profile(d / h, self.flat, self.zero)
-            factors.append(fax)
-        if grid.dim == 1:
-            raw = factors[0]
-            centers = [(c,) for c in per_axis_centers[0]]
-        else:
-            raw = np.einsum("ax,by->abxy", factors[0], factors[1])
-            raw = raw.reshape(-1, *grid.shape)
-            centers = [
-                (c0, c1) for c0 in per_axis_centers[0] for c1 in per_axis_centers[1]
-            ]
+            axis_centers.append(L * np.arange(n_q) / n_q)
+            wrapped = (x - axis_centers[-1][:, None] + L / 2.0) % L - L / 2.0
+            bumps = bump_profile(wrapped / (L / n_q), self.flat, self.zero)
+            # centers of this axis on axis ax, its nodes on axis dim + ax
+            shape = [1] * (2 * dim)
+            shape[ax], shape[dim + ax] = bumps.shape
+            raw = raw * bumps.reshape(shape)
+        raw = raw.reshape(-1, *self.grid.shape)
         total = raw.sum(axis=0)
         if np.min(total) <= 0:
             raise ValueError("window family does not cover the torus")
         self.windows = raw / total
-        self.centers = centers
+        self.centers = list(product(*axis_centers))
 
 
 def ul_sobolev_norm(u: Field, s: float, pou: PartitionOfUnity) -> float:

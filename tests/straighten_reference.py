@@ -14,7 +14,8 @@ from wavestrip.grid import apply_half_symbols, gradient_x, irfft_x, rfft_x
 
 
 def straighten_fields(eta, h, delta, zpoints):
-    """rho, d_z rho, d_z^2 rho, grad rho, alpha, beta and gamma of ``eta``."""
+    """rho, d_z rho, grad rho, alpha, beta and gamma of ``eta``; d_z^2 rho
+    enters through gamma."""
     grid = eta.grid
     z, _ = chebyshev_lobatto(zpoints)
     zc = z.reshape((-1,) + (1,) * grid.dim)
@@ -36,5 +37,5 @@ def straighten_fields(eta, h, delta, zpoints):
     lap_rho = apply_half_symbols(rho, grid, (grid.half_laplacian_symbol,))[0]
     gamma = (d2rho_z + alpha * lap_rho
              + sum(b * g for b, g in zip(beta, gradient_x(drho_z, grid)))) / drho_z
-    return {"rho": rho, "drho_z": drho_z, "d2rho_z": d2rho_z, "drho_x": drho_x,
-            "alpha": alpha, "beta": beta, "gamma": gamma}
+    return {"rho": rho, "drho_z": drho_z, "drho_x": drho_x, "alpha": alpha,
+            "beta": beta, "gamma": gamma}

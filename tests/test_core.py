@@ -11,7 +11,6 @@ from wavestrip.core import (
 )
 from wavestrip.dno import (
     DNOParams,
-    StraightenedField,
     dno_solve,
     solve_laplace,
 )
@@ -42,6 +41,18 @@ def test_state_rejects_eta_and_psi_on_different_grids():
     short, long = make_grid([2 * np.pi], [64]), make_grid([4 * np.pi], [64])
     with pytest.raises(ValueError, match="one grid"):
         SurfaceState(eta=Field(short, np.zeros(64)), psi=Field(long, np.zeros(64)))
+
+
+def test_state_rejects_nonfinite_fields_and_bad_g_or_h():
+    # each would otherwise fail inside integrate, or (g = 0) run without gravity
+    grid = make_grid([2 * np.pi], [16])
+    zero, nan_at_3, inf_at_5 = np.zeros(16), np.zeros(16), np.zeros(16)
+    nan_at_3[3], inf_at_5[5] = np.nan, np.inf
+    for kwargs in (dict(eta=Field(grid, nan_at_3)), dict(psi=Field(grid, inf_at_5)),
+                   dict(g=np.nan), dict(g=0.0), dict(g=-1.0), dict(g=np.inf),
+                   dict(h=-1.0), dict(h=0.0), dict(h=np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            SurfaceState(**{"eta": Field(grid, zero), "psi": Field(grid, zero), **kwargs})
 
 
 def test_traces_flat_surface():
@@ -220,11 +231,10 @@ def p_form_taylor(state, sol, params):
     phi = sol.phi.values
     first = dom.chain_gradient(phi)
     hess_sq = sum(np.sum(dom.chain_gradient(f) ** 2, axis=0) for f in first)
-    source = StraightenedField(dom, -dom.alpha * hess_sq)
     half_speed2 = 0.5 * np.sum(first ** 2, axis=0)
     flux = Field(grid, -dom.conormal_flux(half_speed2, -1) - state.g)
     pressure = solve_laplace(dom, Field(grid, np.zeros(grid.shape)),
-                             source=source, bottom_flux=flux,
+                             source=-dom.alpha * hess_sq, bottom_flux=flux,
                              tol=params.tol, maxiter=params.maxiter)
     return -np.tensordot(dom.Dz[0], pressure.values, axes=1) / dom.drho_z[0]
 

@@ -54,6 +54,13 @@ def test_make_grid_rejects_small_count():
         make_grid([1.0], [6])
 
 
+def test_make_grid_rejects_nonpositive_or_nonfinite_period():
+    # a NaN period gives NaN wavenumbers, an infinite one all-zero wavenumbers
+    for L in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InvalidGridError, match="period"):
+            make_grid([2 * np.pi, L], [16, 16])
+
+
 def test_multiplier_single_mode_bracket():
     g = make_grid([2 * np.pi], [32])
     u = field_from_function(g, np.cos)

@@ -86,7 +86,7 @@ def test_src_has_no_unused_imports(path):
 # Raise only together with a CHANGES.md line that names the new option and
 # the two values of it in use outside the tests (or the failure path that
 # only it reaches).
-MAX_SETTABLE_VALUES = 49
+MAX_SETTABLE_VALUES = 41
 
 
 def _settable_values() -> list[str]:

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavestrip import stepping
 from wavestrip.core import SurfaceState, hamiltonian, ww_rhs
@@ -35,6 +39,12 @@ def zero_rhs(state):
     return z, z, None
 
 
+def step(state, cfg, rhs=None):
+    """rk4_step handed ``rhs`` (by default integrate's) and its value at state."""
+    rhs = stepping._default_rhs(cfg) if rhs is None else rhs
+    return rk4_step(state, cfg, rhs, rhs(state)[:2])
+
+
 def test_config_validation():
     for kwargs in (
         dict(dt=-0.1),
@@ -43,6 +53,12 @@ def test_config_validation():
         dict(taylor_every=0),
         dict(epsilon=0.01),  # rk4 would drop the regularization
         dict(scheme="parabolic-duhamel"),  # epsilon 0 has no heat flow
+        dict(epsilon=np.nan),
+        dict(epsilon=np.inf, scheme="parabolic-duhamel"),
+        dict(dt=np.nan),
+        dict(dt=np.inf),  # T = 0.1 would run 0 steps and report ok
+        dict(taylor_every=2.5),
+        dict(taylor_every=True),
     ):
         with pytest.raises(ValueError):
             StepConfig(**{"dt": 0.1, **kwargs})
@@ -51,12 +67,12 @@ def test_config_validation():
 def test_cfl_guard():
     cfg = StepConfig(dt=10.0, dno=DNO)
     with pytest.raises(CFLError):
-        rk4_step(linear_wave_state(), cfg)
+        step(linear_wave_state(), cfg)
 
 
 def test_rk4_rest_is_fixed_point():
     cfg = StepConfig(dt=0.05, dno=DNO)
-    out = rk4_step(rest_state(), cfg)
+    out = step(rest_state(), cfg)
     assert norm_l2(out.eta) < 1e-14
     assert norm_l2(out.psi) < 1e-14
     assert out.t == pytest.approx(0.05)
@@ -68,7 +84,7 @@ def test_parabolic_heat_flow_exact_with_frozen_nonlinearity():
     state = SurfaceState(eta=Field(GRID, np.cos(k * x)),
                          psi=Field(GRID, np.sin(k * x)))
     cfg = StepConfig(dt=dt, epsilon=eps, scheme="parabolic-duhamel", dno=DNO)
-    out = rk4_step(state, cfg, rhs=zero_rhs)
+    out = step(state, cfg, zero_rhs)
     decay = np.exp(-eps * dt * k ** 2)
     assert np.max(np.abs(out.eta.values - decay * np.cos(k * x))) < 1e-13
     assert np.max(np.abs(out.psi.values - decay * np.sin(k * x))) < 1e-13
@@ -76,7 +92,7 @@ def test_parabolic_heat_flow_exact_with_frozen_nonlinearity():
 
 def test_parabolic_rest_is_fixed_point():
     cfg = StepConfig(dt=0.05, epsilon=0.01, scheme="parabolic-duhamel", dno=DNO)
-    out = rk4_step(rest_state(), cfg)
+    out = step(rest_state(), cfg)
     assert norm_l2(out.eta) < 1e-13
 
 
@@ -233,19 +249,18 @@ def test_integrate_elliptic_failure_ends_with_status():
     assert len(traj.states) == 1 and len(traj.records) == 1
 
 
-def test_integrate_taylor_sign_failure_ends_with_status():
-    # at g = 0 the rest state has a = 0, which the paper's strict condition
-    # a > 0 excludes; with or without the symmetrizer the run ends on the
-    # monitor and keeps the record of the failing step
-    rest = rest_state()
-    state = SurfaceState(eta=rest.eta, psi=rest.psi, g=0.0)
+def test_integrate_taylor_sign_failure_ends_with_status(monkeypatch):
+    # the rest state has a = g exactly, and SurfaceState takes g > 0 only, so
+    # the floor is raised above g = 1; with or without the symmetrizer the
+    # run ends on the monitor and keeps the record of the failing step
+    monkeypatch.setattr(stepping, "TAYLOR_FLOOR", 2.0)
     for cfg in (StepConfig(dt=0.05, dno=DNO, taylor_every=1, symmetrized_s=1.0),
                 StepConfig(dt=0.05, dno=DNO, taylor_every=1)):
         sunk = []
-        traj = integrate(state, 0.1, cfg, sink=sunk.append)
-        assert traj.status == "aborted: Taylor monitor: min a 0 <= floor 0 at t = 0"
+        traj = integrate(rest_state(), 0.1, cfg, sink=sunk.append)
+        assert traj.status == "aborted: Taylor monitor: min a 1 <= floor 2 at t = 0"
         assert len(traj.states) == 1 and traj.records == sunk
-        assert len(sunk) == 1 and sunk[0].min_taylor == 0.0
+        assert len(sunk) == 1 and sunk[0].min_taylor == 1.0
         assert np.isnan(sunk[0].symmetrized_energy)
 
 
@@ -265,6 +280,9 @@ def test_integrate_rejects_partial_final_step():
         integrate(rest_state(), 0.15, cfg)
     with pytest.raises(ValueError, match="T = -0.1 is negative"):
         integrate(rest_state(), -0.1, cfg)
+    for T, dt in ((np.inf, 0.1), (np.nan, 0.1), (1.0, 1e-320)):
+        with pytest.raises(ValueError, match="not a finite number of steps"):
+            integrate(rest_state(), T, StepConfig(dt=dt, dno=DNO, taylor_every=None))
 
 
 def cold_rhs(state):
@@ -279,7 +297,7 @@ def moving_wave_state(eps=0.05):
 def test_rk4_step_at_eps_zero_is_classical_rk4_bitwise():
     state = moving_wave_state()
     cfg = StepConfig(dt=0.05, dno=DNO)
-    out = rk4_step(state, cfg, rhs=cold_rhs)
+    out = step(state, cfg, cold_rhs)
     ref = classical_rk4_step(state, cfg.dt, cold_rhs)
     assert np.array_equal(out.eta.values, ref.eta.values)
     assert np.array_equal(out.psi.values, ref.psi.values)
@@ -295,7 +313,7 @@ def test_parabolic_step_never_reevaluates_rhs_at_state(eps):
         seen.append((s.eta.values.copy(), s.psi.values.copy()))
         return cold_rhs(s)
 
-    rk4_step(state, config(0.05, eps), rhs=counting, k1=cold_rhs(state)[:2])
+    rk4_step(state, config(0.05, eps), counting, cold_rhs(state)[:2])
     assert len(seen) == 3
     assert not any(np.array_equal(e, state.eta.values) and np.array_equal(p, state.psi.values)
                    for e, p in seen)
@@ -357,3 +375,57 @@ def test_integrate_default_params_runs():
     assert traj.status == "ok"
     assert len(traj.records) == 5
     assert 0.0 < traj.records[0].min_taylor < 1.0
+
+
+SPOILABLE = ("eta", "psi", "g", "dt", "epsilon", "T")
+
+
+def evenly(lo, hi, n=20, log=False):
+    """n + 1 evenly spaced values from lo to hi (log-spaced when log)."""
+    if log:
+        return st.integers(0, n).map(lambda i: lo * (hi / lo) ** (i / n))
+    return st.integers(0, n).map(lambda i: lo + (hi - lo) * i / n)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(points=st.sampled_from([16, 32]), zpoints=st.integers(8, 12),
+       k=st.integers(1, 3), height=evenly(0.0, 1.5), slope=evenly(0.0, 2.0),
+       phase=evenly(0.0, 2 * np.pi), psi_amp=evenly(0.0, 2.0),
+       g=evenly(1e-3, 10.0, log=True), dt=evenly(1e-3, 1.0, log=True),
+       eps=st.one_of(st.just(0.0), evenly(0.0, 10.0)), n_steps=st.integers(0, 3),
+       taylor_every=st.sampled_from([None, 1]), symmetrized_s=st.sampled_from([None, 1.0]),
+       spoil=st.sampled_from(SPOILABLE + (None,) * 12),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_integrate_ends_in_construction_error_or_named_status(
+        points, zpoints, k, height, slope, phase, psi_amp, g, dt, eps, n_steps,
+        taylor_every, symmetrized_s, spoil, bad):
+    # amplitudes past the depth h = 1, slopes up to 2, dt past the CFL bound
+    # and eps up to 10; at most one input is made non-finite
+    grid = make_grid([2 * np.pi], [points])
+    x = grid.axes()[0]
+    inputs = dict(eta=min(height, slope / k) * np.cos(k * x + phase),
+                  psi=psi_amp * np.sin(k * x), g=g, dt=dt, epsilon=eps, T=n_steps * dt)
+    if spoil in ("eta", "psi"):
+        inputs[spoil][points // 3] = bad
+    elif spoil is not None:
+        inputs[spoil] = bad
+    scheme = "parabolic-duhamel" if inputs["epsilon"] > 0 else "rk4"
+    try:
+        state = SurfaceState(eta=Field(grid, inputs["eta"]), psi=Field(grid, inputs["psi"]),
+                             g=inputs["g"])
+        cfg = StepConfig(dt=inputs["dt"], epsilon=inputs["epsilon"], scheme=scheme,
+                         dno=DNOParams(h=1.0, zpoints=zpoints), taylor_every=taylor_every,
+                         symmetrized_s=symmetrized_s)
+    except ValueError:
+        assert spoil not in (None, "T")
+        return
+    assert spoil in (None, "T")
+    if spoil == "T":
+        with pytest.raises(ValueError, match="not a finite number of steps"):
+            integrate(state, inputs["T"], cfg)
+        return
+    traj = integrate(state, inputs["T"], cfg)
+    assert traj.status == "ok" or re.fullmatch(r"aborted: \w[\w ]*: .+", traj.status)
+    for rec in traj.records:
+        values = [rec.hamiltonian, rec.mass, rec.min_depth, *rec.extra.values()]
+        assert np.all(np.isfinite(values)), (traj.status, rec)
