@@ -30,7 +30,6 @@ third the energy from G(eta) psi.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -71,7 +70,7 @@ class SurfaceState:
             raise ValueError("eta and psi must be sampled on one grid")
         if not (np.all(np.isfinite(self.eta.values)) and np.all(np.isfinite(self.psi.values))):
             raise ValueError("eta and psi must be finite")
-        if not (0 < self.g < math.inf and 0 < self.h < math.inf):
+        if not (0 < self.g < np.inf and 0 < self.h < np.inf):
             raise ValueError(
                 f"g and h must be positive and finite, got g = {self.g}, h = {self.h}")
 

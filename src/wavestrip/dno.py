@@ -98,7 +98,7 @@ class EllipticSolveError(RuntimeError):
         super().__init__(f"elliptic solve stalled at relative residual {residual:.3e}")
 
 
-def _is_count(n) -> bool:
+def is_count(n) -> bool:
     """n is an integer (a numpy integer too) and not a bool."""
     return isinstance(n, numbers.Integral) and not isinstance(n, bool)
 
@@ -109,7 +109,7 @@ def _check_solver_limits(tol: float, maxiter: int) -> None:
     StripSolver both check here."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if not _is_count(maxiter) or maxiter < 1:
+    if not is_count(maxiter) or maxiter < 1:
         raise ValueError(f"maxiter must be an integer >= 1, got {maxiter!r}")
 
 
@@ -136,7 +136,7 @@ class DNOParams:
         if not 0 <= self.delta < math.inf:
             raise ValueError(
                 f"smoothing delta must be nonnegative and finite, got {self.delta}")
-        if not _is_count(self.zpoints) or self.zpoints < 3:
+        if not is_count(self.zpoints) or self.zpoints < 3:
             raise ValueError(f"zpoints must be an integer >= 3, got {self.zpoints!r}")
         _check_solver_limits(self.tol, self.maxiter)
 

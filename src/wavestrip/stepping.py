@@ -12,7 +12,6 @@ diagnostics every step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,7 @@ from wavestrip.dno import (
     DNOSolution,
     EllipticSolveError,
     StraighteningError,
-    _is_count,
+    is_count,
 )
 from wavestrip.grid import heat_propagator
 from wavestrip.symmetrizer import symmetrized_energy, symmetrized_pair
@@ -64,12 +63,12 @@ class StepConfig:
     symmetrized_s: float | None = None
 
     def __post_init__(self):
-        if not 0 < self.dt < math.inf:
+        if not 0 < self.dt < np.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not 0 <= self.epsilon < math.inf:
+        if not 0 <= self.epsilon < np.inf:
             raise ValueError(f"epsilon must be nonnegative and finite, got {self.epsilon}")
         if self.taylor_every is not None and not (
-                _is_count(self.taylor_every) and self.taylor_every >= 1):
+                is_count(self.taylor_every) and self.taylor_every >= 1):
             raise ValueError(
                 f"taylor_every must be an integer >= 1 or None, got {self.taylor_every!r}")
         if self.scheme not in ("rk4", "parabolic-duhamel"):
@@ -210,7 +209,7 @@ def integrate(state: SurfaceState, T: float, cfg: StepConfig, sink=None,
     evenly across the walls, is 2w-periodic in y, and that symmetry is kept
     by the flow.
     """
-    if not 0 <= T / cfg.dt < math.inf:
+    if not 0 <= T / cfg.dt < np.inf:
         raise ValueError(f"T = {T:.6g} is negative or not a finite number of steps "
                          f"dt = {cfg.dt:.6g}")
     n_steps = int(round(T / cfg.dt))

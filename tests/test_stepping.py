@@ -250,15 +250,16 @@ def test_integrate_elliptic_failure_ends_with_status():
 
 
 def test_integrate_taylor_sign_failure_ends_with_status(monkeypatch):
-    # the rest state has a = g exactly, and SurfaceState takes g > 0 only, so
-    # the floor is raised above g = 1; with or without the symmetrizer the
+    # the rest state has a = g = 1 exactly, and SurfaceState takes g > 0 only,
+    # so the floor is raised to 1: min a == floor must trip the monitor and
+    # leave the symmetrized energy unset; with or without the symmetrizer the
     # run ends on the monitor and keeps the record of the failing step
-    monkeypatch.setattr(stepping, "TAYLOR_FLOOR", 2.0)
+    monkeypatch.setattr(stepping, "TAYLOR_FLOOR", 1.0)
     for cfg in (StepConfig(dt=0.05, dno=DNO, taylor_every=1, symmetrized_s=1.0),
                 StepConfig(dt=0.05, dno=DNO, taylor_every=1)):
         sunk = []
         traj = integrate(rest_state(), 0.1, cfg, sink=sunk.append)
-        assert traj.status == "aborted: Taylor monitor: min a 1 <= floor 2 at t = 0"
+        assert traj.status == "aborted: Taylor monitor: min a 1 <= floor 1 at t = 0"
         assert len(traj.states) == 1 and traj.records == sunk
         assert len(sunk) == 1 and sunk[0].min_taylor == 1.0
         assert np.isnan(sunk[0].symmetrized_energy)
