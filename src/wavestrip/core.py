@@ -127,8 +127,7 @@ def ww_rhs(state: SurfaceState, params: DNOParams,
 
 
 def taylor_coefficient(state: SurfaceState, sol: DNOSolution,
-                       params: DNOParams = DNOParams()
-                       ) -> tuple[Field, float]:
+                       params: DNOParams) -> tuple[Field, float]:
     """Taylor coefficient a = -d_y P at the surface, from the pressure problem.
 
     Solves for Q = P + g rho (see the module docstring): L Q = L P because
@@ -150,8 +149,8 @@ def taylor_coefficient(state: SurfaceState, sol: DNOSolution,
     half_speed2 = 0.5 * np.sum(first ** 2, axis=0)
     flux = Field(grid, -dom.conormal_flux(half_speed2, -1))
 
-    q = solve_laplace(dom, state.g * state.eta, source=-dom.alpha * hess_sq,
-                      bottom_flux=flux, tol=params.tol, maxiter=params.maxiter)
+    q = solve_laplace(dom, state.g * state.eta, params, source=-dom.alpha * hess_sq,
+                      bottom_flux=flux)
     a_vals = state.g - np.tensordot(dom.Dz[0], q.values, axes=1) / dom.drho_z[0]
     a = Field(grid, a_vals)
     return a, float(np.min(a_vals))

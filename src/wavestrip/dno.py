@@ -6,9 +6,12 @@ The fluid strip below the surface is flattened by the smoothed diffeomorphism
 
 with E(t) the smoothing semigroup exp(t(<D>-1)); constants are exact fixed
 points of E, so a flat or constant surface straightens to rho = eta + z h.
-rho - h z and every derivative of rho the coefficients need are linear in
-eta, so one table of half-spectrum multipliers per (grid, delta, zpoints),
-built on first use, takes rfft(eta) to all of them in one inverse transform.
+The solves read only derivatives of rho, never rho itself.  d_z rho - h and
+every other derivative the coefficients need are linear in eta, so one
+table of half-spectrum multipliers per (grid, delta, zpoints), built on
+first use, takes rfft(eta) to all of them in one inverse transform.  Every
+setting of a solve (h, delta, zpoints, tol, maxiter) comes in one checked
+DNOParams.
 The Laplace problem becomes the variable-coefficient strip problem
 
     (d_zz + alpha Lap_x + beta . grad_x d_z - gamma d_z) Phi = F,
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from itertools import combinations
 from weakref import WeakKeyDictionary
@@ -115,7 +118,8 @@ def _check_solver_limits(tol: float, maxiter: int) -> None:
 
 @dataclass(frozen=True)
 class DNOParams:
-    """Knobs of the Dirichlet-Neumann evaluation.
+    """Every setting of a strip solve, checked once here: straighten,
+    solve_laplace, dno_solve and the Taylor solve take it whole.
 
     The strip depth h is positive and finite; the smoothing delta is
     nonnegative, since E(delta z) with delta < 0 amplifies high modes, and
@@ -206,15 +210,14 @@ def _z_line(zpoints: int) -> _ZLine:
 
 @dataclass
 class StraightenedDomain:
-    """rho(x, z), the derivatives of rho the solves read, and the elliptic
-    coefficients on the strip; ``delta`` is the smoothing used, after any
-    halvings."""
+    """The derivatives of rho(x, z) the solves read, each (nz, *grid.shape),
+    and the elliptic coefficients on the strip; ``delta`` is the smoothing
+    used, after any halvings."""
 
     grid: PeriodicGrid
     delta: float
     z: np.ndarray                      # Chebyshev nodes, z[0] = 0, z[-1] = -1
     Dz: np.ndarray                     # differentiation matrix in z
-    rho: np.ndarray                    # (Nz, *grid.shape)
     drho_z: np.ndarray
     drho_x: tuple[np.ndarray, ...]
     alpha: np.ndarray
@@ -253,26 +256,22 @@ class StraightenedDomain:
         return out
 
 
-def straighten(eta: Field, h: float, delta: float = DNOParams.delta,
-               zpoints: int = DNOParams.zpoints) -> StraightenedDomain:
-    """Build the straightening diffeomorphism and elliptic coefficients.
+def straighten(eta: Field, params: DNOParams) -> StraightenedDomain:
+    """Build the elliptic coefficients of the strip of depth params.h under
+    eta, smoothed by params.delta, on params.zpoints Chebyshev nodes.
 
     Every derivative of rho that the coefficients need is linear in eta, so
     one cached table of half-spectrum multipliers (see _straightening_table)
     and one inverse transform give them all; the depth enters as the
-    constants h z and h.
+    constant h of d_z rho.
 
     Raises StraighteningError when min d_z rho < h/2 anywhere; the caller is
     expected to halve delta and retry (see straighten_adaptive).
     """
-    if h <= 0:
-        raise ValueError("strip depth h must be positive")
-    grid = eta.grid
-    line = _z_line(zpoints)
-    zc = line.z.reshape((-1,) + (1,) * grid.dim)
-    table = _straightening_table(grid, delta, zpoints)
-    rho, drho_z, d2rho_z, lap_rho, *grads = irfft_x(
-        table * rfft_x(eta.values, grid), grid)
+    grid, h = eta.grid, params.h
+    line = _z_line(params.zpoints)
+    table = _straightening_table(grid, params.delta, params.zpoints)
+    drho_z, d2rho_z, lap_rho, *grads = irfft_x(table * rfft_x(eta.values, grid), grid)
     drho_z = drho_z + h
 
     min_dz = float(np.min(drho_z))
@@ -280,7 +279,6 @@ def straighten(eta: Field, h: float, delta: float = DNOParams.delta,
         raise StraighteningError(min_dz, h / 2.0)
 
     # the domain keeps copies, not views that would hold the whole stack
-    rho = rho + h * zc
     drho_x = tuple(g.copy() for g in grads[:grid.dim])
     grad_drho_z = grads[grid.dim:]
     grad2 = sum(g ** 2 for g in drho_x)
@@ -289,7 +287,7 @@ def straighten(eta: Field, h: float, delta: float = DNOParams.delta,
     gamma = (d2rho_z + alpha * lap_rho
              + sum(b * g for b, g in zip(beta, grad_drho_z))) / drho_z
     return StraightenedDomain(
-        grid=grid, delta=delta, z=line.z, Dz=line.Dz, rho=rho, drho_z=drho_z,
+        grid=grid, delta=params.delta, z=line.z, Dz=line.Dz, drho_z=drho_z,
         drho_x=drho_x, alpha=alpha, beta=beta, gamma=gamma,
     )
 
@@ -301,13 +299,14 @@ _STRAIGHTENING_TABLES: WeakKeyDictionary = WeakKeyDictionary()
 
 def _straightening_table(grid: PeriodicGrid, delta: float,
                          zpoints: int) -> np.ndarray:
-    """Half-spectrum multipliers taking rfft(eta) to the spectra of rho - h z,
+    """Half-spectrum multipliers taking rfft(eta) to the spectra of
     d_z rho - h, d_z^2 rho, Lap rho, grad rho and grad d_z rho.
 
     With E(s) = exp(s (<k> - 1)), rho - h z = ((1+z) E(delta z)
     - z E(-delta (1+z))) eta, so each row is a z-dependent multiplier of
-    eta_hat.  Shape (4 + 2 dim, zpoints, *grid.half_shape); built on first
-    use and shared, read-only, by every surface on the grid.
+    eta_hat.  rho itself has no row: no solve reads it.  Shape
+    (3 + 2 dim, zpoints, *grid.half_shape); built on first use and shared,
+    read-only, by every surface on the grid.
     """
     tables = _STRAIGHTENING_TABLES.setdefault(grid, {})
     key = (delta, zpoints)
@@ -322,7 +321,7 @@ def _straightening_table(grid: PeriodicGrid, delta: float,
             + (2.0 * delta * kb - zc * (delta * kb) ** 2) * eb
         grad = grid.half_gradient_symbols
         tables[key] = _read_only(np.stack(
-            [rho, rho_z, rho_zz, grid.half_laplacian_symbol * rho]
+            [rho_z, rho_zz, grid.half_laplacian_symbol * rho]
             + [ik * rho for ik in grad] + [ik * rho_z for ik in grad]))
     return tables[key]
 
@@ -332,14 +331,13 @@ MAX_DELTA_HALVINGS = 6
 
 def straighten_adaptive(eta: Field, params: DNOParams) -> StraightenedDomain:
     """straighten with the delta-halving retry policy."""
-    delta = params.delta
     last: StraighteningError | None = None
     for _ in range(MAX_DELTA_HALVINGS + 1):
         try:
-            return straighten(eta, params.h, delta, params.zpoints)
+            return straighten(eta, params)
         except StraighteningError as exc:
             last = exc
-            delta *= 0.5
+            params = replace(params, delta=0.5 * params.delta)
     raise last
 
 
@@ -395,8 +393,7 @@ class StripSolver:
     solver per solve, so nothing refers back to the domain.
     """
 
-    def __init__(self, dom: StraightenedDomain, tol: float = DNOParams.tol,
-                 maxiter: int = DNOParams.maxiter):
+    def __init__(self, dom: StraightenedDomain, tol: float, maxiter: int):
         _check_solver_limits(tol, maxiter)
         self.dom = dom
         self.tol = tol
@@ -570,12 +567,12 @@ class StripSolver:
         return StraightenedField(phi, u, len(history), residual)
 
 
-def solve_laplace(dom: StraightenedDomain, psi: Field,
+def solve_laplace(dom: StraightenedDomain, psi: Field, params: DNOParams,
                   source: np.ndarray | None = None,
                   bottom_flux: Field | None = None,
-                  tol: float = DNOParams.tol, maxiter: int = DNOParams.maxiter,
                   guess: StraightenedField | None = None) -> StraightenedField:
-    """Solve the straightened strip problem with real surface trace psi.
+    """Solve the straightened strip problem with real surface trace psi to
+    the tol of ``params`` within its maxiter GMRES iterations.
 
     ``source`` is the interior right-hand side F, an array of shape
     (nz, *grid.shape) whose interior rows are read.  ``bottom_flux``
@@ -584,7 +581,7 @@ def solve_laplace(dom: StraightenedDomain, psi: Field,
     whose unknown starts GMRES (see StripSolver.solve).  Each call builds
     its own StripSolver and returns the field it solved.
     """
-    return StripSolver(dom, tol=tol, maxiter=maxiter).solve(
+    return StripSolver(dom, tol=params.tol, maxiter=params.maxiter).solve(
         psi.values, source,
         None if bottom_flux is None else bottom_flux.values, guess)
 
@@ -607,28 +604,22 @@ def surface_flux(dom: StraightenedDomain, phi: StraightenedField) -> Field:
     return dealias(Field(dom.grid, dom.conormal_flux(phi.values, 0)))
 
 
-def dno_solve(eta: Field, psi: Field, params: DNOParams = DNOParams(),
+def dno_solve(eta: Field, psi: Field, params: DNOParams,
               guess: DNOSolution | None = None) -> DNOSolution:
     """Straighten the strip under eta and evaluate G(eta) psi, keeping the
-    domain and potential for reuse.
+    domain and potential for reuse; ``params`` carries every setting of
+    both steps.
 
     ``psi`` is real.  ``guess`` is an earlier solution, typically on a
     nearby surface with the same grid and zpoints; its potential's GMRES
     unknown starts GMRES (see StripSolver.solve).  It changes the iteration
     count, not the tolerance the result meets.  ``phi`` is the solved field,
     with its unknown and count.  Another datum on the same domain is
-    ``surface_flux(dom, solve_laplace(dom, psi, ...))``.
+    ``surface_flux(dom, solve_laplace(dom, psi, params))``.
     """
     dom = straighten_adaptive(eta, params)
-    phi = solve_laplace(dom, psi, tol=params.tol, maxiter=params.maxiter,
-                        guess=None if guess is None else guess.phi)
+    phi = solve_laplace(dom, psi, params, guess=None if guess is None else guess.phi)
     return DNOSolution(dom=dom, phi=phi, gpsi=surface_flux(dom, phi))
-
-
-def dirichlet_neumann(eta: Field, psi: Field,
-                      params: DNOParams = DNOParams()) -> Field:
-    """G(eta) psi for real psi."""
-    return dno_solve(eta, psi, params).gpsi
 
 
 def dno_principal_symbol(eta: Field) -> ParaSymbol:

@@ -139,9 +139,12 @@ def holder_norms(values: np.ndarray, grid: PeriodicGrid, rho: float,
 
     rho = 0: sup |v|; rho = 1: sup |v| + sum_i sup |d_i v| (spectral); 0 < rho < 1:
     max(sup |v|, Zygmund norm), the scales coinciding for fractional exponents.
+    A given ``dd`` must be built on ``grid``.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"Hoelder exponent must lie in [0, 1], got {rho}")
+    if dd is not None and dd.grid != grid:
+        raise ValueError("the dyadic decomposition was built on another grid")
     axes = tuple(range(values.ndim - grid.dim, values.ndim))
     sup = np.max(np.abs(values), axis=axes)
     if rho == 0.0:

@@ -81,13 +81,11 @@ def reformulated_residuals(prev: SurfaceState, cur: SurfaceState,
     zeta_next = spectral_gradient(nxt.eta)
     zeta_cur = spectral_gradient(cur.eta)
     # G(eta) of B and V on the domain of cur's own solve
-    gb = surface_flux(dom, solve_laplace(dom, traces.B, tol=params.tol,
-                                         maxiter=params.maxiter))
+    gb = surface_flux(dom, solve_laplace(dom, traces.B, params))
     r_zeta = []
     for i in range(grid.dim):
         dz = Field(grid, (zeta_next[i].values - zeta_prev[i].values) / two_dt)
-        gv = surface_flux(dom, solve_laplace(dom, traces.V[i], tol=params.tol,
-                                             maxiter=params.maxiter))
+        gv = surface_flux(dom, solve_laplace(dom, traces.V[i], params))
         r_zeta.append(dz + _advect(traces.V, zeta_cur[i])
                       - gv - dealiased_product(zeta_cur[i], gb))
 

@@ -6,11 +6,11 @@ flat strip and gains half an order on a curved one.  The package evaluates
 G(eta) and lambda but has no use for R itself.
 """
 
-from wavestrip.dno import DNOParams, dirichlet_neumann, dno_principal_symbol
+from wavestrip.dno import DNOParams, dno_principal_symbol, dno_solve
 from wavestrip.grid import Field
 from wavestrip.paradiff import paradiff_apply
 
 
-def dno_remainder(eta: Field, psi: Field, params: DNOParams = DNOParams()) -> Field:
+def dno_remainder(eta: Field, psi: Field, params: DNOParams) -> Field:
     """R(eta) psi = G(eta) psi - T_lambda psi."""
-    return dirichlet_neumann(eta, psi, params) - paradiff_apply(dno_principal_symbol(eta), psi)
+    return dno_solve(eta, psi, params).gpsi - paradiff_apply(dno_principal_symbol(eta), psi)

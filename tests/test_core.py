@@ -233,9 +233,8 @@ def p_form_taylor(state, sol, params):
     hess_sq = sum(np.sum(dom.chain_gradient(f) ** 2, axis=0) for f in first)
     half_speed2 = 0.5 * np.sum(first ** 2, axis=0)
     flux = Field(grid, -dom.conormal_flux(half_speed2, -1) - state.g)
-    pressure = solve_laplace(dom, Field(grid, np.zeros(grid.shape)),
-                             source=-dom.alpha * hess_sq, bottom_flux=flux,
-                             tol=params.tol, maxiter=params.maxiter)
+    pressure = solve_laplace(dom, Field(grid, np.zeros(grid.shape)), params,
+                             source=-dom.alpha * hess_sq, bottom_flux=flux)
     return -np.tensordot(dom.Dz[0], pressure.values, axes=1) / dom.drho_z[0]
 
 
@@ -270,8 +269,9 @@ def test_taylor_matches_p_form(grid, zpoints, slope):
 def test_taylor_rest_state_exact(grid):
     state = SurfaceState(eta=Field(grid, np.zeros(grid.shape)),
                          psi=Field(grid, np.zeros(grid.shape)), g=2.3)
-    sol = dno_solve(state.eta, state.psi)
-    a, a_min = taylor_coefficient(state, sol)
+    params = DNOParams()
+    sol = dno_solve(state.eta, state.psi, params)
+    a, a_min = taylor_coefficient(state, sol, params)
     assert np.all(a.values == 2.3) and a_min == 2.3
 
 

@@ -1,21 +1,27 @@
 """Guards on what the package promises: its module docstrings name only
 things it ships, no module under src/ reaches into the tests, no module
-imports a name it does not use, and the settable values do not grow."""
+imports a name it does not use, the settable values do not grow, and every
+name and call shape the benchmark in perfbench/ reads still exists."""
 
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import pathlib
 import pkgutil
 import re
+import sys
 
 import pytest
 import scipy.fft
 
 import wavestrip
+from wavestrip.dno import DNOParams
+from wavestrip.stepping import StepConfig
 
 SRC = pathlib.Path(wavestrip.__file__).parent
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = ["wavestrip"] + [f"wavestrip.{m.name}" for m in pkgutil.iter_modules([str(SRC)])]
 TEST_MODULES = {p.stem for p in pathlib.Path(__file__).parent.glob("*.py")}
 
@@ -86,7 +92,7 @@ def test_src_has_no_unused_imports(path):
 # Raise only together with a CHANGES.md line that names the new option and
 # the two values of it in use outside the tests (or the failure path that
 # only it reaches).
-MAX_SETTABLE_VALUES = 41
+MAX_SETTABLE_VALUES = 32
 
 
 def _settable_values() -> list[str]:
@@ -121,3 +127,47 @@ def test_settable_values_do_not_grow():
     found = _settable_values()
     assert len(found) <= MAX_SETTABLE_VALUES, \
         f"{len(found)} settable values, at most {MAX_SETTABLE_VALUES}: {found}"
+
+
+def _perfbench_module(name: str):
+    """perfbench/<name>.py loaded from its file.  tracer and workloads
+    import no wavestrip module at load time, so the package under test is
+    the one these tests imported."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # the dataclass decorator looks the module up in sys.modules
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_benchmark_traces_only_what_the_package_ships():
+    tracer = _perfbench_module("tracer")
+    for mod, attr, _ in tracer.FUNCTIONS:
+        module = importlib.import_module(f"wavestrip.{mod}")
+        assert callable(getattr(module, attr, None)), f"wavestrip.{mod}.{attr}"
+    for mod, cls, meth, _ in tracer.METHODS:
+        owner = getattr(importlib.import_module(f"wavestrip.{mod}"), cls, None)
+        assert callable(getattr(owner, meth, None)), f"wavestrip.{mod}.{cls}.{meth}"
+
+
+def test_benchmark_workloads_build_their_step_config():
+    # as workloads.build does, without its fresh import of the package
+    for w in _perfbench_module("workloads").WORKLOADS.values():
+        cfg = StepConfig(dt=w.dt, dno=DNOParams(h=1.0, zpoints=w.zpoints), **w.step)
+        assert cfg.dno.zpoints == w.zpoints
+
+
+@pytest.mark.parametrize("module, name, args, kwargs", [
+    ("dno", "StripSolver", 1, ("tol", "maxiter")),
+    ("dno", "straighten_adaptive", 2, ()),
+    ("dno", "dno_solve", 3, ()),
+    ("core", "taylor_coefficient", 3, ()),
+])
+def test_benchmark_calls_bind(module, name, args, kwargs):
+    # the argument shapes of the calls perfbench/run.py makes
+    fn = getattr(importlib.import_module(f"wavestrip.{module}"), name)
+    inspect.signature(fn).bind(*range(args), **dict.fromkeys(kwargs))

@@ -196,7 +196,7 @@ def test_decoupling_vieta_and_signs(alpha, beta_scale, xi1, xi2):
 
 def test_decoupling_from_domain_traces():
     eta = field_from_function(GRID, lambda x: 0.05 * np.cos(x))
-    dom = straighten(eta, h=1.0, delta=0.1, zpoints=24)
+    dom = straighten(eta, DNOParams(zpoints=24))
     a, A = decoupling_symbols(dom.alpha[0], [b[0] for b in dom.beta], [3.0])
     assert np.all(a.real < 0.0) and np.all(A.real > 0.0)
     bdot = dom.beta[0][0] * 3.0

@@ -7,6 +7,7 @@ from wavestrip.ulspaces import (
     DyadicDecomposition,
     PartitionOfUnity,
     bump_profile,
+    holder_norms,
     ul_sobolev_norm,
 )
 
@@ -96,6 +97,15 @@ def test_partition_from_another_grid_is_rejected():
     u = field_from_function(make_grid([4 * np.pi], [64]), np.cos)
     with pytest.raises(ValueError, match="another grid"):
         ul_sobolev_norm(u, 1.0, PartitionOfUnity(make_grid([2 * np.pi], [64])))
+
+
+def test_dyadic_decomposition_from_another_grid_is_rejected():
+    # same shape, other period: the blocks would sit at the wrong |xi|
+    u = field_from_function(make_grid([4 * np.pi], [64]), np.cos)
+    other = DyadicDecomposition(make_grid([2 * np.pi], [64]))
+    for rho in (0.0, 0.5, 1.0):
+        with pytest.raises(ValueError, match="another grid"):
+            holder_norms(u.values, u.grid, rho, other)
 
 
 def test_monotonicity_in_s():
