@@ -107,11 +107,11 @@ def trace_velocities(state: SurfaceState, sol: DNOSolution) -> TraceFields:
 
 
 def ww_rhs(state: SurfaceState, params: DNOParams,
-           guess: DNOSolution | None = None) -> tuple[Field, Field, DNOSolution]:
+           guess: DNOSolution | None) -> tuple[Field, Field, DNOSolution]:
     """Tendencies (d_t eta, d_t psi) and the DNO solution used to build them.
 
     The potential is solved at the state's depth h with the other knobs of
-    ``params``; ``guess`` warm-starts that solve.
+    ``params``; ``guess`` warm-starts that solve (None starts from zero).
     """
     sol = dno_solve(state.eta, state.psi, replace(params, h=state.h), guess=guess)
     grid = state.eta.grid

@@ -31,7 +31,8 @@ with complex psi solves its real and imaginary parts apart) and returns the
 solved field with its GMRES unknown, iteration count and true residual.
 Each solve builds its own solver, and one given a solved field as guess
 restarts from that unknown (see StripSolver.solve).
-Every x-derivative runs on the rfft half spectrum of the real samples.  The
+Every x-derivative runs on the rfft half spectrum of the real samples,
+through ``grid``, the one package module imported here.  The
 preconditioner is the strip operator with alpha and g1 replaced by their
 means (alpha over the interior nodes, g1 at the bottom) and without gamma,
 beta and g2 (exact when the surface is flat, so that case converges in one
@@ -53,10 +54,8 @@ Chebyshev derivative.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from functools import cache
-from itertools import combinations
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -70,10 +69,9 @@ from wavestrip.grid import (
     dealias,
     gradient_x,
     irfft_x,
+    is_count,
     rfft_x,
-    spectral_gradient,
 )
-from wavestrip.paradiff import ParaSymbol
 
 
 class StraighteningError(RuntimeError):
@@ -99,11 +97,6 @@ class EllipticSolveError(RuntimeError):
         self.residual = residual
         self.history = history
         super().__init__(f"elliptic solve stalled at relative residual {residual:.3e}")
-
-
-def is_count(n) -> bool:
-    """n is an integer (a numpy integer too) and not a bool."""
-    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
 
 
 def _check_solver_limits(tol: float, maxiter: int) -> None:
@@ -512,12 +505,13 @@ class StripSolver:
             r = b - self._matvec(x)
         return x, float(np.linalg.norm(r)) / bnorm, history
 
-    def solve(self, surface: np.ndarray, source: np.ndarray | None = None,
-              bottom_flux: np.ndarray | None = None,
-              guess: StraightenedField | None = None) -> StraightenedField:
+    def solve(self, surface: np.ndarray, source: np.ndarray | None,
+              bottom_flux: np.ndarray | None,
+              guess: StraightenedField | None) -> StraightenedField:
         """Solve the strip problem for real data; return the solved field.
 
-        The result carries the GMRES unknown u = Phi[1:] - surface, the
+        ``source``, ``bottom_flux`` and ``guess`` are None when absent (see
+        solve_laplace).  The result carries the GMRES unknown u = Phi[1:] - surface, the
         iteration count and the true relative residual |b - A u| / |b|.
         ``guess`` is such a solved field, typically from a nearby surface,
         on any domain of the same grid and zpoints; GMRES starts from
@@ -621,16 +615,3 @@ def dno_solve(eta: Field, psi: Field, params: DNOParams,
     phi = solve_laplace(dom, psi, params, guess=None if guess is None else guess.phi)
     return DNOSolution(dom=dom, phi=phi, gpsi=surface_flux(dom, phi))
 
-
-def dno_principal_symbol(eta: Field) -> ParaSymbol:
-    """lambda(x, xi) = sqrt((1+|grad eta|^2)|xi|^2 - (grad eta . xi)^2),
-    evaluated as sqrt(|xi|^2 + |grad eta ^ xi|^2) by Lagrange's identity."""
-    grads = [g.values for g in spectral_gradient(eta)]
-
-    def eval_fn(xis):
-        xi = [c.reshape((-1,) + (1,) * eta.grid.dim) for c in xis.T]
-        return np.sqrt(sum(xi_c ** 2 for xi_c in xi) + sum(
-            (grads[i] * xi[j] - grads[j] * xi[i]) ** 2
-            for i, j in combinations(range(len(xi)), 2)))
-
-    return ParaSymbol(order=1.0, regularity=0.5, eval=eval_fn, homogeneous=True)

@@ -10,13 +10,13 @@ dealiasing rule) goes through ``apply_half_symbols`` on the rfft half
 spectrum: one real transform pair, batched over leading axes.
 On 1-D grids ``rfft_x``/``irfft_x`` call scipy's one-axis ``rfft``/``irfft``,
 which skip the n-D shape and axes handling of ``rfftn``/``irfftn`` and give
-the same bits; 2-D grids keep ``rfftn``/``irfftn``.  The full complex lattice
-(``fft``/``ifft``) serves only where the algorithm needs it: the paraproduct
-kernel and the Littlewood-Paley blocks.
+the same bits; 2-D grids keep ``rfftn``/``irfftn``.  The full complex
+lattice belongs to ``paradiff``, whose paraproduct kernel is a convolution.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -25,7 +25,13 @@ import scipy.fft as sfft
 
 
 class InvalidGridError(ValueError):
-    """Raised when grid axes violate the even / minimum-size constraints."""
+    """Raised when a period is not finite and positive, or a count not an
+    even integer >= 8."""
+
+
+def is_count(n) -> bool:
+    """n is an integer (a numpy integer too) and not a bool."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
 
 
 @dataclass(frozen=True)
@@ -48,8 +54,9 @@ class PeriodicGrid:
         for L, n in zip(self.lengths, self.points):
             if not 0 < L < np.inf:
                 raise InvalidGridError(f"period must be positive and finite, got {L}")
-            if n < 8 or n % 2 != 0:
-                raise InvalidGridError(f"point count must be even and >= 8, got {n}")
+            if not is_count(n) or n < 8 or n % 2 != 0:
+                raise InvalidGridError(
+                    f"point count must be an even integer >= 8, got {n!r}")
         ks = tuple(
             2.0 * np.pi * sfft.fftfreq(n, d=1.0 / n) / L
             for L, n in zip(self.lengths, self.points)
@@ -143,8 +150,8 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def make_grid(lengths, points) -> PeriodicGrid:
-    """Build a PeriodicGrid from per-axis periods and sample counts."""
-    return PeriodicGrid(tuple(float(L) for L in lengths), tuple(int(n) for n in points))
+    """Build a PeriodicGrid from per-axis periods and integer sample counts."""
+    return PeriodicGrid(tuple(float(L) for L in lengths), tuple(points))
 
 
 @dataclass
@@ -199,17 +206,6 @@ def _vals(x):
 def field_from_function(grid: PeriodicGrid, fn) -> Field:
     """Sample fn(*coordinate meshes) on the grid."""
     return Field(grid, np.asarray(fn(*grid.meshes()), dtype=float))
-
-
-def fft(u: Field) -> np.ndarray:
-    return sfft.fftn(u.values)
-
-
-def ifft(grid: PeriodicGrid, spectrum: np.ndarray, real: bool = False) -> Field:
-    vals = sfft.ifftn(spectrum)
-    if real:
-        vals = vals.real
-    return Field(grid, vals)
 
 
 def _x_axes(grid: PeriodicGrid, ndim: int) -> tuple[int, ...] | None:

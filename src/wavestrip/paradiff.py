@@ -18,7 +18,8 @@ pairs where theta is not zero.  ``paraproduct`` (a = a(x)) and
 ``paradiff_apply`` (a = a(x, xi), tabulated at every lattice eta) both call
 it.  Its band is symmetric: along each axis the Nyquist index, which has no
 mirror, is neither a row xi nor a column eta, and |xi - eta| < N/2; so a
-Hermitian symbol maps real data to a real T_a u.
+Hermitian symbol maps real data to a real T_a u.  A convolution in
+frequency, the kernel alone in the package takes full complex transforms.
 
 A symbol is evaluated on stacks of wavenumbers: ``ParaSymbol.eval(xis)``
 takes xis of shape (m, d) and returns values broadcastable to
@@ -37,7 +38,7 @@ from typing import Callable
 import numpy as np
 import scipy.fft as sfft
 
-from wavestrip.grid import Field, PeriodicGrid, fft, ifft
+from wavestrip.grid import Field, PeriodicGrid
 from wavestrip.ulspaces import smooth_step
 
 
@@ -119,8 +120,8 @@ def _symbol_table(sym: ParaSymbol, grid: PeriodicGrid, xis: np.ndarray) -> np.nd
     return table
 
 
-def _lattice_apply(u: Field, column_spectra) -> np.ndarray:
-    """Spectrum of T_a u = (Theta o C) (psi u^) / N.
+def _lattice_apply(u: Field, column_spectra, real: bool) -> Field:
+    """T_a u = ifftn((Theta o C) (psi u^) / N), real part only when ``real``.
 
     Theta[xi, eta] = theta(|xi - eta|, |eta|) where |xi|, |eta| and
     |xi - eta| are below N/2 along each axis in signed lattice indices (0
@@ -132,7 +133,7 @@ def _lattice_apply(u: Field, column_spectra) -> np.ndarray:
     |xi - eta| >= EPS2 |eta| only the pairs inside that ball are formed.
     """
     grid = u.grid
-    weights = (cutoff_psi(grid.abs_wavenumber()) * fft(u)).ravel()
+    weights = (cutoff_psi(grid.abs_wavenumber()) * sfft.fftn(u.values)).ravel()
     active = np.flatnonzero(weights)
     # signed lattice index of the nodes along each axis, in FFT order
     signed = [(np.arange(n) + n // 2) % n - n // 2 for n in grid.points]
@@ -161,22 +162,22 @@ def _lattice_apply(u: Field, column_spectra) -> np.ndarray:
                 * spectra[(col, *zeta)] * weights[chunk][col])
         flat = np.ravel_multi_index(tuple(xi), grid.shape)
         out += np.bincount(flat, vals.real, grid.size) + 1j * np.bincount(flat, vals.imag, grid.size)
-    return out.reshape(grid.shape) / grid.size
+    t_au = sfft.ifftn(out.reshape(grid.shape) / grid.size)
+    return Field(grid, t_au.real if real else t_au)
 
 
 def paraproduct(a: Field, u: Field) -> Field:
     """T_a u for an x-dependent, xi-independent symbol a."""
     if a.grid is not u.grid and a.grid != u.grid:
         raise ValueError("paraproduct requires a shared grid")
-    a_hat = fft(a)
-    out = _lattice_apply(u, lambda k_eta: a_hat)
-    return ifft(u.grid, out, real=a.is_real and u.is_real)
+    a_hat = sfft.fftn(a.values)
+    return _lattice_apply(u, lambda k_eta: a_hat, real=a.is_real and u.is_real)
 
 
 def paradiff_apply(sym: ParaSymbol, u: Field) -> Field:
     """T_a u for a general symbol a(x, xi), tabulated at the lattice eta."""
     grid = u.grid
     axes = tuple(range(1, grid.dim + 1))
-    out = _lattice_apply(
-        u, lambda k_eta: sfft.fftn(_symbol_table(sym, grid, k_eta), axes=axes))
-    return ifft(grid, out, real=u.is_real)
+    return _lattice_apply(
+        u, lambda k_eta: sfft.fftn(_symbol_table(sym, grid, k_eta), axes=axes),
+        real=u.is_real)

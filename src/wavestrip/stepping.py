@@ -29,9 +29,8 @@ from wavestrip.dno import (
     DNOSolution,
     EllipticSolveError,
     StraighteningError,
-    is_count,
 )
-from wavestrip.grid import heat_propagator
+from wavestrip.grid import heat_propagator, is_count
 from wavestrip.symmetrizer import symmetrized_energy, symmetrized_pair
 from wavestrip.ulspaces import PartitionOfUnity, ul_sobolev_norm
 

@@ -2,19 +2,21 @@
 
 The linearized system is symmetrized by gamma = sqrt(a*lambda) and
 q = sqrt(a/lambda) (a the Taylor coefficient, lambda the DNO principal
-symbol); the good unknown U_s = <D>^s V + T_zeta <D>^s B removes the
-worst-order coupling, and the quadratic functional ||U_s||^2 + ||theta_s||^2
-in the uniformly local L^2 norm is the stability diagnostic.
+symbol, built here for its one user); the good unknown
+U_s = <D>^s V + T_zeta <D>^s B removes the worst-order coupling, and the
+quadratic functional ||U_s||^2 + ||theta_s||^2 in the uniformly local L^2
+norm is the stability diagnostic.  With ``paradiff``, this is the
+paradifferential layer: no other module uses ``ParaSymbol``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from wavestrip.core import SurfaceState, TraceFields
-from wavestrip.dno import dno_principal_symbol
 from wavestrip.grid import Field, bessel_potential, spectral_gradient
 from wavestrip.paradiff import ParaSymbol, paradiff_apply, paraproduct
 from wavestrip.ulspaces import PartitionOfUnity, ul_sobolev_norm
@@ -30,7 +32,6 @@ class SymmetrizedPair:
 
     Us: tuple[Field, ...]
     theta_s: tuple[Field, ...]
-    s: float
 
 
 def good_unknowns(state: SurfaceState, traces: TraceFields, s: float
@@ -44,6 +45,20 @@ def good_unknowns(state: SurfaceState, traces: TraceFields, s: float
     )
     zeta_s = tuple(bessel_potential(z, s) for z in zeta)
     return us, zeta_s
+
+
+def dno_principal_symbol(eta: Field) -> ParaSymbol:
+    """lambda(x, xi) = sqrt((1+|grad eta|^2)|xi|^2 - (grad eta . xi)^2),
+    evaluated as sqrt(|xi|^2 + |grad eta ^ xi|^2) by Lagrange's identity."""
+    grads = [g.values for g in spectral_gradient(eta)]
+
+    def eval_fn(xis):
+        xi = [c.reshape((-1,) + (1,) * eta.grid.dim) for c in xis.T]
+        return np.sqrt(sum(xi_c ** 2 for xi_c in xi) + sum(
+            (grads[i] * xi[j] - grads[j] * xi[i]) ** 2
+            for i, j in combinations(range(len(xi)), 2)))
+
+    return ParaSymbol(order=1.0, regularity=0.5, eval=eval_fn, homogeneous=True)
 
 
 def symmetrizer_symbols(a: Field, eta: Field) -> tuple[ParaSymbol, ParaSymbol]:
@@ -73,7 +88,7 @@ def symmetrized_pair(state: SurfaceState, traces: TraceFields, a: Field,
     us, zeta_s = good_unknowns(state, traces, s)
     _, q = symmetrizer_symbols(a, state.eta)
     theta_s = tuple(paradiff_apply(q, z) for z in zeta_s)
-    return SymmetrizedPair(Us=us, theta_s=theta_s, s=s)
+    return SymmetrizedPair(Us=us, theta_s=theta_s)
 
 
 def symmetrized_energy(pair: SymmetrizedPair, pou: PartitionOfUnity) -> float:

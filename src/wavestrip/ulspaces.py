@@ -5,7 +5,8 @@ The uniformly local H^s norm of u is the max over window translates q of
 On the torus the translate set is finite (one window per unit of period).
 The W^{rho,inf} norms (Zygmund for fractional rho) run over the dyadic
 blocks of ``DyadicDecomposition``; ``holder_norms`` batches them over
-leading axes.
+leading axes.  The windowed <D>^s and the blocks are Fourier multipliers
+on the rfft half spectrum, applied by ``grid.apply_half_symbols``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-import scipy.fft as sfft
 
 from wavestrip.grid import Field, PeriodicGrid, apply_half_symbols, gradient_x
 
@@ -28,8 +28,9 @@ def smooth_step(t: np.ndarray) -> np.ndarray:
     return f / (f + g)
 
 
-def bump_profile(r: np.ndarray, flat: float = 0.5, zero: float = 1.0) -> np.ndarray:
-    """Even C-infinity bump of |r|: 1 for |r| <= flat, 0 for |r| >= zero."""
+def bump_profile(r: np.ndarray, flat: float, zero: float) -> np.ndarray:
+    """Even C-infinity bump of |r|: 1 for |r| <= flat, 0 for |r| >= zero;
+    the windows take (0.5, 1) and the dyadic lowpass (1, 2)."""
     r = np.abs(np.asarray(r, dtype=float))
     return smooth_step((zero - r) / (zero - flat))
 
@@ -40,28 +41,25 @@ class PartitionOfUnity:
 
     Each axis of period L carries n_q = max(1, round(L)) centers L q / n_q
     and one 1-D bump (standard exp(-1/t) mollifier construction) per center,
-    of the distance wrapped to [-L/2, L/2) over the spacing L / n_q.  The raw
-    windows are the tensor products of those bumps, one per center tuple in
-    ``centers`` (row-major over the axes); renormalizing by the window sum
-    makes the partition identity exact.
+    of the distance wrapped to [-L/2, L/2) over the spacing L / n_q: 1 up to
+    half a spacing and 0 from one spacing on.  The raw windows are the
+    tensor products of those bumps, one per center tuple in ``centers``
+    (row-major over the axes); renormalizing by the window sum makes the
+    partition identity exact.
     """
 
     grid: PeriodicGrid
-    flat: float = 0.5
-    zero: float = 1.0
     centers: list[tuple[float, ...]] = field(init=False, repr=False)
     windows: np.ndarray = field(init=False, repr=False)  # (windows, *grid.shape)
 
     def __post_init__(self):
-        if not (0.0 < self.flat < self.zero <= 1.0):
-            raise ValueError("window profile requires 0 < flat < zero <= 1")
         dim = self.grid.dim
         raw, axis_centers = np.ones(()), []
         for ax, (L, x) in enumerate(zip(self.grid.lengths, self.grid.axes())):
             n_q = max(1, int(round(L)))
             axis_centers.append(L * np.arange(n_q) / n_q)
             wrapped = (x - axis_centers[-1][:, None] + L / 2.0) % L - L / 2.0
-            bumps = bump_profile(wrapped / (L / n_q), self.flat, self.zero)
+            bumps = bump_profile(wrapped / (L / n_q), 0.5, 1.0)
             # centers of this axis on axis ax, its nodes on axis dim + ax
             shape = [1] * (2 * dim)
             shape[ax], shape[dim + ax] = bumps.shape
@@ -87,11 +85,13 @@ def ul_sobolev_norm(u: Field, s: float, pou: PartitionOfUnity) -> float:
 
 @dataclass
 class DyadicDecomposition:
-    """Littlewood-Paley blocks Delta_j, j = -1 .. jmax, on the grid lattice.
+    """Littlewood-Paley blocks Delta_j, j = -1 .. jmax, as Fourier multipliers.
 
     Block -1 is the low ball |xi| <= 1; block j >= 0 lives on the annulus
     2^(j-1) <= |xi| <= 2^(j+1).  The multipliers telescope exactly, so the
     reconstruction sum is exact (to round-off) for band-limited input.
+    ``block_multipliers``, shape (jmax + 2, *grid.half_shape), holds them
+    on the rfft half spectrum, |xi| = sqrt(-grid.half_laplacian_symbol).
     """
 
     grid: PeriodicGrid
@@ -99,7 +99,7 @@ class DyadicDecomposition:
     block_multipliers: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        kabs = self.grid.abs_wavenumber()
+        kabs = np.sqrt(-self.grid.half_laplacian_symbol)
         self.jmax = int(np.floor(np.log2(self.grid.resolved_kmax())))
         theta = [self._theta(kabs / 2.0 ** j) for j in range(-1, self.jmax + 2)]
         blocks = [theta[0]]  # j = -1: Theta(2|xi|)
@@ -124,13 +124,10 @@ class DyadicDecomposition:
 def _zygmund_norms(values: np.ndarray, grid: PeriodicGrid, sigma: float,
                    dd: DyadicDecomposition) -> np.ndarray:
     """max_j 2^(j*sigma) ||Delta_j v||_{L^inf} over the trailing grid axes."""
-    axes = tuple(range(values.ndim - grid.dim, values.ndim))
-    vh = sfft.fftn(values, axes=axes)
-    best = np.zeros(values.shape[: values.ndim - grid.dim])
-    for j in dd.block_index_range():
-        piece = sfft.ifftn(dd.block_multiplier(j) * vh, axes=axes)
-        best = np.maximum(best, 2.0 ** (j * sigma) * np.max(np.abs(piece), axis=axes))
-    return best
+    pieces = apply_half_symbols(values, grid, dd.block_multipliers)
+    sups = np.max(np.abs(pieces), axis=tuple(range(-grid.dim, 0)))
+    weights = 2.0 ** (sigma * np.arange(-1, dd.jmax + 1))
+    return np.max(np.moveaxis(sups, 0, -1) * weights, axis=-1)
 
 
 def holder_norms(values: np.ndarray, grid: PeriodicGrid, rho: float,

@@ -11,8 +11,9 @@ symbol seminorm M^m_rho.
 """
 
 import numpy as np
+import scipy.fft as sfft
 
-from wavestrip.grid import Field, PeriodicGrid, dealiased_product, fft, ifft
+from wavestrip.grid import Field, PeriodicGrid, apply_half_symbols, dealiased_product
 from wavestrip.paradiff import ParaSymbol, _symbol_table, cutoff_psi, paraproduct
 from wavestrip.ulspaces import DyadicDecomposition, holder_norms
 
@@ -26,7 +27,7 @@ def separable_apply(b: Field, h, u: Field) -> Field:
     kabs = u.grid.abs_wavenumber()
     harr = np.asarray(h(np.stack(km)))
     filt = cutoff_psi(kabs) * harr
-    v = ifft(u.grid, filt * fft(u))
+    v = Field(u.grid, sfft.ifftn(filt * sfft.fftn(u.values)))
     return paraproduct(b, v)
 
 
@@ -37,13 +38,12 @@ def paraproduct_blockwise(a: Field, u: Field, dd: DyadicDecomposition,
     S_m is the lowpass Theta(|xi| / 2^m) of the dyadic decomposition, 1 on
     |xi| <= 2^m and 0 on |xi| >= 2^(m+1).
     """
-    a_hat = fft(a)
-    u_hat = fft(u)
+    a_hat = sfft.fftn(a.values)
     kabs = a.grid.abs_wavenumber()
+    pieces_u = apply_half_symbols(u.values, u.grid, dd.block_multipliers[1:])
     out = np.zeros(a.grid.shape, dtype=complex)
-    for j in range(0, dd.jmax + 1):
-        piece_u = ifft(u.grid, dd.block_multiplier(j) * u_hat).values
-        low_a = ifft(a.grid, dd._theta(kabs / 2.0 ** (j - j0)) * a_hat).values
+    for j, piece_u in enumerate(pieces_u):
+        low_a = sfft.ifftn(dd._theta(kabs / 2.0 ** (j - j0)) * a_hat)
         out += low_a * piece_u
     real_out = a.is_real and u.is_real
     return Field(a.grid, out.real if real_out else out)

@@ -85,7 +85,7 @@ def test_traces_match_chain_rule_traces():
 
 def test_rhs_rest_state_is_equilibrium():
     state = state_of(np.zeros(GRID.shape), np.zeros(GRID.shape))
-    eta_t, psi_t, _ = ww_rhs(state, PARAMS)
+    eta_t, psi_t, _ = ww_rhs(state, PARAMS, None)
     assert norm_l2(eta_t) < 1e-13
     assert norm_l2(psi_t) < 1e-13
 
@@ -94,7 +94,7 @@ def test_rhs_linear_wave_tendencies():
     k, eps = 3, 1e-4
     x = GRID.axes()[0]
     state = state_of(np.zeros(GRID.shape), eps * np.sin(k * x))
-    eta_t, psi_t, _ = ww_rhs(state, PARAMS)
+    eta_t, psi_t, _ = ww_rhs(state, PARAMS, None)
     lin = eps * k * np.tanh(k) * np.sin(k * x)
     assert np.max(np.abs(eta_t.values - lin)) < 10 * eps ** 2
     assert np.max(np.abs(psi_t.values)) < 10 * eps ** 2
@@ -104,7 +104,7 @@ def test_rhs_pure_elevation():
     eps, k = 1e-4, 2
     x = GRID.axes()[0]
     state = state_of(eps * np.cos(k * x), np.zeros(GRID.shape))
-    eta_t, psi_t, _ = ww_rhs(state, PARAMS)
+    eta_t, psi_t, _ = ww_rhs(state, PARAMS, None)
     assert norm_l2(eta_t) < 1e-11
     assert np.max(np.abs(psi_t.values + state.g * eps * np.cos(k * x))) < 10 * eps ** 2
 
@@ -165,8 +165,8 @@ def test_gauge_invariance_constant_psi_shift():
     t1 = trace_velocities(s1, solved(s1, PARAMS))
     assert np.max(np.abs(t0.B.values - t1.B.values)) < 1e-10
     assert np.max(np.abs(t0.V[0].values - t1.V[0].values)) < 1e-10
-    r0 = ww_rhs(s0, PARAMS)
-    r1 = ww_rhs(s1, PARAMS)
+    r0 = ww_rhs(s0, PARAMS, None)
+    r1 = ww_rhs(s1, PARAMS, None)
     assert np.max(np.abs(r0[0].values - r1[0].values)) < 1e-10
     assert np.max(np.abs(r0[1].values - r1[1].values)) < 1e-10
 
@@ -174,9 +174,9 @@ def test_gauge_invariance_constant_psi_shift():
 def test_translation_equivariance():
     x = GRID.axes()[0]
     state = state_of(0.05 * np.cos(x), np.sin(x))
-    eta_t, psi_t, _ = ww_rhs(state, PARAMS)
+    eta_t, psi_t, _ = ww_rhs(state, PARAMS, None)
     shifted = state_of(np.roll(state.eta.values, 3), np.roll(state.psi.values, 3))
-    eta_ts, psi_ts, _ = ww_rhs(shifted, PARAMS)
+    eta_ts, psi_ts, _ = ww_rhs(shifted, PARAMS, None)
     assert np.max(np.abs(eta_ts.values - np.roll(eta_t.values, 3))) < 1e-11
     assert np.max(np.abs(psi_ts.values - np.roll(psi_t.values, 3))) < 1e-11
 
@@ -184,7 +184,7 @@ def test_translation_equivariance():
 def test_mass_flux_vanishes():
     x = GRID.axes()[0]
     state = state_of(0.08 * np.cos(x), np.sin(x) + 0.3 * np.cos(2 * x))
-    eta_t, _, _ = ww_rhs(state, PARAMS)
+    eta_t, _, _ = ww_rhs(state, PARAMS, None)
     assert abs(np.sum(eta_t.values) * GRID.cell_volume) < 1e-9
 
 

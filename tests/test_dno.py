@@ -28,13 +28,13 @@ from wavestrip.dno import (
     _straightening_table,
     _z_line,
     chebyshev_lobatto,
-    dno_principal_symbol,
     dno_solve,
     solve_laplace,
     straighten,
     straighten_adaptive,
     surface_flux,
 )
+from wavestrip.symmetrizer import dno_principal_symbol
 from dno_reference import dno_remainder
 from grid_reference import divergence, fourier_multiplier, sobolev_norm
 from straighten_reference import straighten_fields
@@ -353,7 +353,7 @@ def test_dno_principal_symbol_values():
     eta2 = field_from_function(g2, lambda x, y: x * 0.0)
     # gradient (1, 0) surface: encode via a plane-like slope is not periodic,
     # so check the formula directly instead
-    from wavestrip.dno import dno_principal_symbol as dps
+    from wavestrip.symmetrizer import dno_principal_symbol as dps
 
     sym = dps(eta2)
     v = sym.values(g2, np.array([0.0, 1.0]))
@@ -641,7 +641,7 @@ def test_guess_of_wrong_shape_raises():
     dom = straighten(eta, DNOParams(zpoints=24))
     solver = strip_solver(dom)
     with pytest.raises(ValueError, match="guess has shape"):
-        solver.solve(psi.values, guess=StraightenedField(
+        solver.solve(psi.values, None, None, StraightenedField(
             np.zeros((24, 64)), np.zeros((23, 64)), 0, 0.0))
 
 
@@ -655,7 +655,7 @@ def test_strip_solve_and_dno_take_real_data_only():
     for source, flux in ((np.ones((PARAMS.zpoints,) + GRID.shape, dtype=complex), None),
                          (None, 1j * np.ones(GRID.shape))):
         with pytest.raises(ValueError, match="real data"):
-            strip_solver(dom).solve(psi.values, source, flux)
+            strip_solver(dom).solve(psi.values, source, flux, None)
 
 
 def per_product_surface_flux(dom, phi):
@@ -711,7 +711,7 @@ def test_rounding_floor_ends_fast_and_reports_honestly():
     zc = solver.dom.z[:, None]
     source = np.cos(zc) * np.sin(GRID.axes()[0])[None] + zc
     with pytest.raises(EllipticSolveError) as err:
-        solver.solve(np.zeros(GRID.shape), source=source)
+        solver.solve(np.zeros(GRID.shape), source, None, None)
     maxiter = solver.maxiter
     assert len(calls) <= maxiter + math.ceil(maxiter / 80) + 2
     assert len(err.value.history) == solver.last_iterations
@@ -727,13 +727,13 @@ def test_solved_field_carries_its_true_residual():
     x = GRID.axes()[0]
     source = np.cos(zc) * np.sin(x)[None] + zc
     flux = 0.1 * np.cos(x)
-    out = solver.solve(np.zeros(GRID.shape), source=source, bottom_flux=flux)
+    out = solver.solve(np.zeros(GRID.shape), source, flux, None)
     b = strip_rhs(source, flux)
     ref = np.linalg.norm(b - solver._matvec(out.unknown.ravel())) / np.linalg.norm(b)
     assert out.residual == pytest.approx(ref, rel=1e-12)
     assert 0.0 < out.residual <= max(50.0 * solver.tol, 1e-13)
     # b = 0 takes no iteration and reports no residual
-    assert solver.solve(np.zeros(GRID.shape)).residual == 0.0
+    assert solver.solve(np.zeros(GRID.shape), None, None, None).residual == 0.0
 
 
 def dense_strip_operator(solver: StripSolver) -> np.ndarray:

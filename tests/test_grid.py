@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from wavestrip.grid import (
     Field,
     InvalidGridError,
+    PeriodicGrid,
     bessel_potential,
     dealiased_product,
-    fft,
     field_from_function,
     heat_propagator,
     inner_l2,
@@ -52,6 +52,19 @@ def test_make_grid_rejects_odd_count():
 def test_make_grid_rejects_small_count():
     with pytest.raises(InvalidGridError):
         make_grid([1.0], [6])
+
+
+@pytest.mark.parametrize("n", [16.7, 16.0])
+def test_make_grid_rejects_a_count_that_is_not_an_integer(n):
+    # int() would truncate 16.7 to a 16-point grid without a word
+    with pytest.raises(InvalidGridError, match="integer"):
+        make_grid([2 * np.pi], [n])
+    with pytest.raises(InvalidGridError, match="integer"):
+        PeriodicGrid((2 * np.pi,), (n,))
+
+
+def test_make_grid_takes_a_numpy_integer_count():
+    assert make_grid([2 * np.pi], [np.int64(16)]) == make_grid([2 * np.pi], [16])
 
 
 def test_make_grid_rejects_nonpositive_or_nonfinite_period():
@@ -201,7 +214,7 @@ def test_multipliers_commute(p, q):
 def test_parseval():
     g = make_grid([2 * np.pi], [64])
     u = random_field(g, seed=5)
-    uh = fft(u)
+    uh = sfft.fftn(u.values)
     spectral = np.sqrt(np.sum(np.abs(uh) ** 2) * g.cell_volume / g.size)
     assert abs(norm_l2(u) - spectral) < 1e-12 * spectral
 

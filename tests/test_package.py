@@ -1,6 +1,7 @@
 """Guards on what the package promises: its module docstrings name only
 things it ships, no module under src/ reaches into the tests, no module
-imports a name it does not use, the settable values do not grow, and every
+imports a name it does not use, only the paradifferential layer touches the
+full complex lattice and paradiff, the settable values do not grow, and every
 name and call shape the benchmark in perfbench/ reads still exists."""
 
 import ast
@@ -89,10 +90,46 @@ def test_src_has_no_unused_imports(path):
     assert not imported - used, f"{path.name} imports {sorted(imported - used)} unused"
 
 
+# the full complex lattice transforms; the Fourier multipliers of every
+# other module run on the rfft half spectrum (grid.apply_half_symbols)
+FULL_LATTICE = {"fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"}
+PARADIFF_USERS = {"paradiff.py", "symmetrizer.py"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_paradiff_uses_the_full_lattice(path):
+    # a static scan: the paraproduct kernel, a convolution in frequency, is
+    # the one user of the full lattice, and only the paradifferential layer
+    # (paradiff and the symmetrizer built on it) imports paradiff
+    tree = ast.parse(path.read_text())
+    fft_modules = {"scipy.fft", "numpy.fft"}
+    owners = {"np.fft"} | fft_modules
+    uses, imports_paradiff = set(), False
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            owners |= {a.asname or a.name for a in node.names if a.name in fft_modules}
+            imports_paradiff |= any(a.name == "wavestrip.paradiff" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names = {a.name for a in node.names}
+            if node.module in fft_modules:
+                uses |= names & FULL_LATTICE
+            if node.module in ("scipy", "numpy"):
+                owners |= {a.asname or a.name for a in node.names if a.name == "fft"}
+            imports_paradiff |= node.module == "wavestrip.paradiff" or (
+                node.module == "wavestrip" and "paradiff" in names)
+    uses |= {f"{ast.unparse(n.value)}.{n.attr}" for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and n.attr in FULL_LATTICE
+             and ast.unparse(n.value) in owners}
+    if path.name != "paradiff.py":
+        assert not uses, f"{path.name} uses {sorted(uses)}"
+    if path.name not in PARADIFF_USERS:
+        assert not imports_paradiff, f"{path.name} imports wavestrip.paradiff"
+
+
 # Raise only together with a CHANGES.md line that names the new option and
 # the two values of it in use outside the tests (or the failure path that
 # only it reaches).
-MAX_SETTABLE_VALUES = 32
+MAX_SETTABLE_VALUES = 23
 
 
 def _settable_values() -> list[str]:

@@ -94,8 +94,7 @@ def test_paraproduct_matches_per_mode_reference(case):
 
 @pytest.mark.parametrize("case", kernel_cases(), ids=["1d64", "1d128", "2d16x24"])
 def test_paradiff_apply_matches_per_mode_reference(case):
-    from wavestrip.dno import dno_principal_symbol
-    from wavestrip.symmetrizer import symmetrizer_symbols
+    from wavestrip.symmetrizer import dno_principal_symbol, symmetrizer_symbols
 
     grid, eta, _, u, uc = case
     taylor = Field(grid, 1.0 + 0.2 * np.cos(grid.meshes()[0]))
@@ -116,18 +115,18 @@ def hermitian_defect(spec):
     ([2 * np.pi], [64]), ([2 * np.pi] * 2, [32, 32]), ([2 * np.pi] * 2, [8, 64]),
     ([2 * np.pi, 3 * np.pi], [16, 24])], ids=["1d64", "2d32", "2d8x64", "2d16x24"])
 def test_kernel_spectrum_is_hermitian_on_white_noise(lengths, points, monkeypatch):
-    # the spectrum handed to ifft, before any projection to real values
+    # the spectrum handed to the kernel's ifftn, before any projection to
+    # real values
     from wavestrip import paradiff
-    from wavestrip.dno import dno_principal_symbol
-    from wavestrip.symmetrizer import symmetrizer_symbols
+    from wavestrip.symmetrizer import dno_principal_symbol, symmetrizer_symbols
 
     spectra = []
 
-    def keep_spectrum(grid, spec, real=False):
+    def keep_spectrum(spec):
         spectra.append(spec)
-        return Field(grid, np.fft.ifftn(spec))
+        return np.fft.ifftn(spec)
 
-    monkeypatch.setattr(paradiff, "ifft", keep_spectrum)
+    monkeypatch.setattr(paradiff.sfft, "ifftn", keep_spectrum)
     grid = make_grid(lengths, points)
     x = grid.meshes()
     rng = np.random.default_rng(11)
@@ -146,7 +145,7 @@ def test_kernel_spectrum_is_hermitian_on_white_noise(lengths, points, monkeypatc
     ([2 * np.pi], [64], (32,)), ([2 * np.pi, 3 * np.pi], [16, 24], (8, 2 / 3)),
     ([2 * np.pi, 3 * np.pi], [16, 24], (1, 8))], ids=["1d64", "2d16x24-x", "2d16x24-y"])
 def test_nyquist_mode_has_no_paradifferential_image(lengths, points, mode):
-    from wavestrip.dno import dno_principal_symbol
+    from wavestrip.symmetrizer import dno_principal_symbol
 
     grid = make_grid(lengths, points)
     x = grid.meshes()
@@ -268,9 +267,8 @@ def test_blockwise_close_on_smooth_data():
 def test_symbol_table_rows_are_one_row_values(lengths, points):
     import warnings
 
-    from wavestrip.dno import dno_principal_symbol
     from wavestrip.paradiff import _symbol_table
-    from wavestrip.symmetrizer import symmetrizer_symbols
+    from wavestrip.symmetrizer import dno_principal_symbol, symmetrizer_symbols
 
     grid = make_grid(lengths, points)
     x = grid.meshes()
@@ -317,7 +315,7 @@ def test_paradiff_factorization_route():
 
 def test_paradiff_dno_symbol_is_multiplier_in_1d():
     # (1 + eta'^2) xi^2 - (eta' xi)^2 = xi^2, so lambda = |xi| identically
-    from wavestrip.dno import dno_principal_symbol
+    from wavestrip.symmetrizer import dno_principal_symbol
 
     eta = field_from_function(GRID, lambda x: 0.1 * np.cos(x))
     lam = dno_principal_symbol(eta)
@@ -449,7 +447,7 @@ def test_symbol_pole_raises_in_every_tabulation():
 
 
 def test_symbol_homogeneity_defect_small():
-    from wavestrip.dno import dno_principal_symbol
+    from wavestrip.symmetrizer import dno_principal_symbol
 
     eta = field_from_function(GRID, lambda x: 0.05 * np.cos(x))
     lam = dno_principal_symbol(eta)

@@ -287,7 +287,7 @@ def test_integrate_rejects_partial_final_step():
 
 
 def cold_rhs(state):
-    return ww_rhs(state, DNO)
+    return ww_rhs(state, DNO, None)
 
 
 def moving_wave_state(eps=0.05):

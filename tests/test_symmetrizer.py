@@ -10,6 +10,7 @@ from wavestrip.paradiff import cutoff_psi, cutoff_theta, paradiff_apply
 from wavestrip.symmetrizer import (
     SymmetrizedPair,
     TaylorSignError,
+    dno_principal_symbol,
     good_unknowns,
     symmetrized_energy,
     symmetrized_pair,
@@ -112,8 +113,6 @@ def test_symmetrizer_pointwise_identities():
     a = Field(GRID, 1.0 + 0.2 * np.cos(x))
     eta = field_from_function(GRID, lambda xx: 0.05 * np.cos(xx))
     gamma, q = symmetrizer_symbols(a, eta)
-    from wavestrip.dno import dno_principal_symbol
-
     lam = dno_principal_symbol(eta)
     for kval in (1.0, 3.0, 17.0):
         xi = np.array([kval])
@@ -206,13 +205,13 @@ def test_decoupling_from_domain_traces():
 
 def test_symmetrized_energy_rest_and_scaling():
     zero = Field(GRID, np.zeros(GRID.shape))
-    pair0 = SymmetrizedPair(Us=(zero,), theta_s=(zero,), s=2.0)
+    pair0 = SymmetrizedPair(Us=(zero,), theta_s=(zero,))
     assert symmetrized_energy(pair0, POU) == 0.0
     x = GRID.axes()[0]
     u = Field(GRID, np.cos(x))
     t = Field(GRID, np.sin(2 * x))
-    e1 = symmetrized_energy(SymmetrizedPair((u,), (t,), 2.0), POU)
-    e4 = symmetrized_energy(SymmetrizedPair((2.0 * u,), (2.0 * t,), 2.0), POU)
+    e1 = symmetrized_energy(SymmetrizedPair((u,), (t,)), POU)
+    e4 = symmetrized_energy(SymmetrizedPair((2.0 * u,), (2.0 * t,)), POU)
     assert e4 == pytest.approx(4.0 * e1, rel=1e-12)
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -61,7 +63,7 @@ def test_windowed_norm_of_cosine_against_quadrature():
 
     def raw(xx, c):
         d = (xx - c + L / 2.0) % L - L / 2.0
-        return bump_profile(d / spacing)
+        return bump_profile(d / spacing, 0.5, 1.0)
 
     def normalized(xx, q):
         total = sum(raw(xx, L * p / n_q) for p in range(n_q))
@@ -114,7 +116,14 @@ def test_monotonicity_in_s():
 
 
 def test_window_choice_changes_norm_by_bounded_ratio():
-    alt = PartitionOfUnity(GRID, flat=0.25, zero=0.9)
+    # another window family, 1 up to a quarter spacing and 0 from 0.9 of one,
+    # built on POU's centers the way PartitionOfUnity builds its own
+    L = GRID.lengths[0]
+    spacing = L / len(POU.centers)
+    x = GRID.axes()[0]
+    raw = np.stack([bump_profile(((x - c + L / 2.0) % L - L / 2.0) / spacing, 0.25, 0.9)
+                    for (c,) in POU.centers])
+    alt = SimpleNamespace(grid=GRID, windows=raw / raw.sum(axis=0))
     for u in corpus(GRID):
         a = ul_sobolev_norm(u, 1.0, POU)
         b = ul_sobolev_norm(u, 1.0, alt)
@@ -124,7 +133,7 @@ def test_window_choice_changes_norm_by_bounded_ratio():
 
 
 def test_dyadic_partition_of_unity_on_lattice():
-    kabs = GRID.abs_wavenumber()
+    kabs = np.sqrt(-GRID.half_laplacian_symbol)
     total = DD.block_multipliers.sum(axis=0)
     resolved = kabs <= 2.0 ** DD.jmax
     assert np.max(np.abs(total[resolved] - 1.0)) < 1e-10
