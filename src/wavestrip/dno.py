@@ -100,11 +100,11 @@ class EllipticSolveError(RuntimeError):
 
 
 def _check_solver_limits(tol: float, maxiter: int) -> None:
-    """Reject a GMRES tol <= 0, below any reachable residual, and a maxiter
-    that is not an integer >= 1, which runs no cycle; DNOParams and
-    StripSolver both check here."""
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    """Reject a GMRES tol <= 0, below any reachable residual, a tol >= 1,
+    which the zero start already meets, and a maxiter that is not an integer
+    >= 1, which runs no cycle; DNOParams and StripSolver both check here."""
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if not is_count(maxiter) or maxiter < 1:
         raise ValueError(f"maxiter must be an integer >= 1, got {maxiter!r}")
 
@@ -117,7 +117,7 @@ class DNOParams:
     The strip depth h is positive and finite; the smoothing delta is
     nonnegative, since E(delta z) with delta < 0 amplifies high modes, and
     finite; zpoints is an integer >= 3, which leaves an interior Chebyshev
-    node; tol is positive and maxiter an integer that allows one GMRES
+    node; tol lies in (0, 1) and maxiter an integer that allows one GMRES
     iteration at least.  Numpy integers count as integers, bools do not.
     """
 

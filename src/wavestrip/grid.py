@@ -25,8 +25,8 @@ import scipy.fft as sfft
 
 
 class InvalidGridError(ValueError):
-    """Raised when a period is not finite and positive, or a count not an
-    even integer >= 8."""
+    """Raised when lengths or points is not a tuple, a period is not finite
+    and positive, or a count not an even integer >= 8."""
 
 
 def is_count(n) -> bool:
@@ -47,6 +47,9 @@ class PeriodicGrid:
     wavenumbers: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # a list would make shape a list and the grid unhashable
+        if not (isinstance(self.lengths, tuple) and isinstance(self.points, tuple)):
+            raise InvalidGridError("lengths and points must be tuples; make_grid converts")
         if len(self.lengths) != len(self.points):
             raise InvalidGridError("lengths and points must have equal length")
         if len(self.points) not in (1, 2):

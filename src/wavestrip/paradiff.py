@@ -15,11 +15,12 @@ One private kernel evaluates T_a u exactly as the matrix product
 (Theta o C) psi u^, with C[xi, eta] = c^_eta(xi - eta) the symbol spectrum
 at the column's eta, in fixed-size chunks of eta columns and only on the
 pairs where theta is not zero.  ``paraproduct`` (a = a(x)) and
-``paradiff_apply`` (a = a(x, xi), tabulated at every lattice eta) both call
-it.  Its band is symmetric: along each axis the Nyquist index, which has no
-mirror, is neither a row xi nor a column eta, and |xi - eta| < N/2; so a
-Hermitian symbol maps real data to a real T_a u.  A convolution in
-frequency, the kernel alone in the package takes full complex transforms.
+``paradiff_apply`` (a = a(x, xi), tabulated at the lattice eta with
+psi(eta) u^(eta) != 0, so never at eta = 0) both call it.  Its band is
+symmetric: along each axis the Nyquist index, which has no mirror, is
+neither a row xi nor a column eta, and |xi - eta| < N/2; so a Hermitian
+symbol maps real data to a real T_a u.  A convolution in frequency, the
+kernel alone in the package takes full complex transforms.
 
 A symbol is evaluated on stacks of wavenumbers: ``ParaSymbol.eval(xis)``
 takes xis of shape (m, d) and returns values broadcastable to
@@ -43,7 +44,7 @@ from wavestrip.ulspaces import smooth_step
 
 
 class SymbolDomainError(ValueError):
-    """Raised for symbol evaluations outside their declared domain."""
+    """Raised when a symbol is not finite on a wavenumber it is evaluated at."""
 
 
 # theta(zeta, eta) = 1 for |zeta| <= EPS1 |eta| and 0 for |zeta| >= EPS2 |eta|
@@ -75,21 +76,19 @@ class ParaSymbol:
 
     ``eval(xis)`` takes a stack of wavenumber vectors, shape (m, d), and
     returns values broadcastable to (m, *grid.shape), row i holding
-    a(x, xis[i]).  Homogeneous symbols are undefined at xi = 0, advertise
-    that with the flag, and are never evaluated there.  Symbols are
-    Hermitian, a(x, -xi) = conj a(x, xi), as lambda, gamma, q, |xi|, <xi>,
-    |xi|^2, i xi_1 and b(x) h(xi) with b real and h Hermitian are.
+    a(x, xis[i]).  The kernel never evaluates xi = 0: psi(0) = 0 drops that
+    column, so a symbol homogeneous in xi, such as lambda or q, need not be
+    defined there.  Symbols are Hermitian, a(x, -xi) = conj a(x, xi), as
+    lambda, q, |xi|, <xi>, |xi|^2, i xi_1 and b(x) h(xi) with b real and h
+    Hermitian are.
     """
 
     order: float
     regularity: float
     eval: Callable[[np.ndarray], np.ndarray]
-    homogeneous: bool = False
 
     def _rows(self, grid: PeriodicGrid, xis: np.ndarray) -> np.ndarray:
         """``eval`` on the stack ``xis``, broadcast to (m, *grid.shape) and checked."""
-        if self.homogeneous and np.any(np.all(xis == 0.0, axis=1)):
-            raise SymbolDomainError("homogeneous symbol evaluated at xi = 0")
         vals = np.broadcast_to(self.eval(xis), (len(xis),) + grid.shape)
         finite = np.isfinite(vals).reshape(len(xis), -1).all(axis=1)
         if not finite.all():
@@ -105,19 +104,6 @@ class ParaSymbol:
 # (xi, eta) pairs screened per chunk of eta columns; bounds the working set
 # (the tracemalloc peak of a 2-D 64^2 paraproduct stays near 2 MB)
 _CHUNK_PAIRS = 2 ** 17
-
-
-def _symbol_table(sym: ParaSymbol, grid: PeriodicGrid, xis: np.ndarray) -> np.ndarray:
-    """Values a(x, xi) for the rows xi of ``xis`` (shape (m, d)), stacked first.
-
-    Rows at xi = 0 of a homogeneous symbol, where it is undefined, stay zero
-    and are never evaluated; the others are checked like ParaSymbol.values.
-    """
-    rows = np.any(xis != 0.0, axis=1) if sym.homogeneous else slice(None)
-    vals = sym._rows(grid, xis[rows])
-    table = np.zeros((len(xis),) + grid.shape, dtype=np.result_type(vals, float))
-    table[rows] = vals
-    return table
 
 
 def _lattice_apply(u: Field, column_spectra, real: bool) -> Field:
@@ -175,9 +161,9 @@ def paraproduct(a: Field, u: Field) -> Field:
 
 
 def paradiff_apply(sym: ParaSymbol, u: Field) -> Field:
-    """T_a u for a general symbol a(x, xi), tabulated at the lattice eta."""
+    """T_a u for a general symbol a(x, xi), tabulated at the active lattice eta."""
     grid = u.grid
     axes = tuple(range(1, grid.dim + 1))
     return _lattice_apply(
-        u, lambda k_eta: sfft.fftn(_symbol_table(sym, grid, k_eta), axes=axes),
+        u, lambda k_eta: sfft.fftn(sym._rows(grid, k_eta), axes=axes),
         real=u.is_real)

@@ -1,8 +1,8 @@
-"""Good unknowns, symmetrizer symbols and the symmetrized energy.
+"""Good unknowns, the symmetrizer symbol q and the symmetrized energy.
 
-The linearized system is symmetrized by gamma = sqrt(a*lambda) and
-q = sqrt(a/lambda) (a the Taylor coefficient, lambda the DNO principal
-symbol, built here for its one user); the good unknown
+The symmetrized energy applies one symbol, q = sqrt(a/lambda) (a the
+Taylor coefficient, lambda the DNO principal symbol, built here for its one
+user), to zeta_s as theta_s = T_q zeta_s; the good unknown
 U_s = <D>^s V + T_zeta <D>^s B removes the worst-order coupling, and the
 quadratic functional ||U_s||^2 + ||theta_s||^2 in the uniformly local L^2
 norm is the stability diagnostic.  With ``paradiff``, this is the
@@ -58,26 +58,21 @@ def dno_principal_symbol(eta: Field) -> ParaSymbol:
             (grads[i] * xi[j] - grads[j] * xi[i]) ** 2
             for i, j in combinations(range(len(xi)), 2)))
 
-    return ParaSymbol(order=1.0, regularity=0.5, eval=eval_fn, homogeneous=True)
+    return ParaSymbol(order=1.0, regularity=0.5, eval=eval_fn)
 
 
-def symmetrizer_symbols(a: Field, eta: Field) -> tuple[ParaSymbol, ParaSymbol]:
-    """gamma = sqrt(a lambda) (order 1/2) and q = sqrt(a/lambda) (order -1/2)."""
+def symmetrizer_symbol(a: Field, eta: Field) -> ParaSymbol:
+    """q = sqrt(a/lambda), of order -1/2, for a positive Taylor coefficient a."""
     if float(np.min(a.values)) <= 0.0:
         raise TaylorSignError(
             f"Taylor coefficient must be positive, min = {float(np.min(a.values)):.4g}"
         )
     lam = dno_principal_symbol(eta)
 
-    def gamma_eval(xis):
-        return np.sqrt(a.values * lam.eval(xis))
-
     def q_eval(xis):
         return np.sqrt(a.values / lam.eval(xis))
 
-    gamma = ParaSymbol(order=0.5, regularity=0.5, eval=gamma_eval, homogeneous=True)
-    q = ParaSymbol(order=-0.5, regularity=0.5, eval=q_eval, homogeneous=True)
-    return gamma, q
+    return ParaSymbol(order=-0.5, regularity=0.5, eval=q_eval)
 
 
 def symmetrized_pair(state: SurfaceState, traces: TraceFields, a: Field,
@@ -86,7 +81,7 @@ def symmetrized_pair(state: SurfaceState, traces: TraceFields, a: Field,
     Taylor coefficient ``a``, all from the state's one potential solve;
     theta_s = T_q zeta_s, componentwise."""
     us, zeta_s = good_unknowns(state, traces, s)
-    _, q = symmetrizer_symbols(a, state.eta)
+    q = symmetrizer_symbol(a, state.eta)
     theta_s = tuple(paradiff_apply(q, z) for z in zeta_s)
     return SymmetrizedPair(Us=us, theta_s=theta_s)
 

@@ -4,9 +4,11 @@ The uniformly local H^s norm of u is the max over window translates q of
 ||<D>^s (chi_q u)||_{L^2}, where the chi_q form a smooth partition of unity.
 On the torus the translate set is finite (one window per unit of period).
 The W^{rho,inf} norms (Zygmund for fractional rho) run over the dyadic
-blocks of ``DyadicDecomposition``; ``holder_norms`` batches them over
-leading axes.  The windowed <D>^s and the blocks are Fourier multipliers
-on the rfft half spectrum, applied by ``grid.apply_half_symbols``.
+blocks of ``DyadicDecomposition``; ``holder_norms`` builds the blocks of
+its grid and batches the norms over leading axes.  The solver does not
+call them: they are kept to measure the Hoelder loss of the flow.  The
+windowed <D>^s and the blocks are Fourier multipliers on the rfft half
+spectrum, applied by ``grid.apply_half_symbols``.
 """
 
 from __future__ import annotations
@@ -91,7 +93,8 @@ class DyadicDecomposition:
     2^(j-1) <= |xi| <= 2^(j+1).  The multipliers telescope exactly, so the
     reconstruction sum is exact (to round-off) for band-limited input.
     ``block_multipliers``, shape (jmax + 2, *grid.half_shape), holds them
-    on the rfft half spectrum, |xi| = sqrt(-grid.half_laplacian_symbol).
+    on the rfft half spectrum, |xi| = sqrt(-grid.half_laplacian_symbol);
+    row j + 1 is Delta_j.
     """
 
     grid: PeriodicGrid
@@ -112,14 +115,6 @@ class DyadicDecomposition:
         # radial lowpass: 1 for r <= 1, 0 for r >= 2
         return bump_profile(r, flat=1.0, zero=2.0)
 
-    def block_index_range(self) -> range:
-        return range(-1, self.jmax + 1)
-
-    def block_multiplier(self, j: int) -> np.ndarray:
-        if not (-1 <= j <= self.jmax):
-            raise IndexError(f"block index {j} outside [-1, {self.jmax}]")
-        return self.block_multipliers[j + 1]
-
 
 def _zygmund_norms(values: np.ndarray, grid: PeriodicGrid, sigma: float,
                    dd: DyadicDecomposition) -> np.ndarray:
@@ -130,18 +125,15 @@ def _zygmund_norms(values: np.ndarray, grid: PeriodicGrid, sigma: float,
     return np.max(np.moveaxis(sups, 0, -1) * weights, axis=-1)
 
 
-def holder_norms(values: np.ndarray, grid: PeriodicGrid, rho: float,
-                 dd: DyadicDecomposition | None = None) -> np.ndarray:
+def holder_norms(values: np.ndarray, grid: PeriodicGrid, rho: float) -> np.ndarray:
     """W^{rho,inf} norms over the trailing grid axes of ``values``; leading axes batch.
 
     rho = 0: sup |v|; rho = 1: sup |v| + sum_i sup |d_i v| (spectral); 0 < rho < 1:
-    max(sup |v|, Zygmund norm), the scales coinciding for fractional exponents.
-    A given ``dd`` must be built on ``grid``.
+    max(sup |v|, Zygmund norm over the blocks of ``grid``), the scales
+    coinciding for fractional exponents.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"Hoelder exponent must lie in [0, 1], got {rho}")
-    if dd is not None and dd.grid != grid:
-        raise ValueError("the dyadic decomposition was built on another grid")
     axes = tuple(range(values.ndim - grid.dim, values.ndim))
     sup = np.max(np.abs(values), axis=axes)
     if rho == 0.0:
@@ -149,6 +141,4 @@ def holder_norms(values: np.ndarray, grid: PeriodicGrid, rho: float,
     if rho == 1.0:
         grads = gradient_x(values, grid)
         return sup + np.sum(np.max(np.abs(grads), axis=tuple(a + 1 for a in axes)), axis=0)
-    if dd is None:
-        dd = DyadicDecomposition(grid)
-    return np.maximum(sup, _zygmund_norms(values, grid, rho, dd))
+    return np.maximum(sup, _zygmund_norms(values, grid, rho, DyadicDecomposition(grid)))

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from wavestrip.grid import Field, PeriodicGrid, apply_half_symbols, dealiased_product
-from wavestrip.paradiff import ParaSymbol, _symbol_table, cutoff_psi, paraproduct
+from wavestrip.paradiff import ParaSymbol, cutoff_psi, paraproduct
 from wavestrip.ulspaces import DyadicDecomposition, holder_norms
 
 
@@ -49,25 +49,21 @@ def paraproduct_blockwise(a: Field, u: Field, dd: DyadicDecomposition,
     return Field(a.grid, out.real if real_out else out)
 
 
-def x_independent_symbol(order: float, h, regularity: float = 1.0,
-                         homogeneous: bool = False) -> ParaSymbol:
+def x_independent_symbol(order: float, h, regularity: float = 1.0) -> ParaSymbol:
     """Symbol a(x, xi) = h(xi), h mapping a stack (m, d) of wavenumbers to (m,)."""
     return ParaSymbol(
         order=order,
         regularity=regularity,
         eval=lambda xis: np.reshape(h(xis), (-1,) + (1,) * xis.shape[1]),
-        homogeneous=homogeneous,
     )
 
 
-def separable_symbol(b: Field, order: float, h, regularity: float = 1.0,
-                     homogeneous: bool = False) -> ParaSymbol:
+def separable_symbol(b: Field, order: float, h, regularity: float = 1.0) -> ParaSymbol:
     """Symbol b(x) * h(xi), h mapping a stack (m, d) of wavenumbers to (m,)."""
     return ParaSymbol(
         order=order,
         regularity=regularity,
         eval=lambda xis: b.values * np.reshape(h(xis), (-1,) + (1,) * xis.shape[1]),
-        homogeneous=homogeneous,
     )
 
 
@@ -94,22 +90,29 @@ def _multi_indices(dim: int, max_order: int):
     return [(i, j) for i in range(max_order + 1) for j in range(max_order + 1 - i)]
 
 
-def symbol_seminorm(sym: ParaSymbol, grid: PeriodicGrid,
-                    dd: DyadicDecomposition | None = None) -> float:
+def symbol_seminorm(sym: ParaSymbol, grid: PeriodicGrid) -> float:
     """Estimate of the order-m seminorm M^m_rho(a) on the resolved lattice.
 
     xi-derivatives up to order 2d+2 are taken by finite differences on the
     (monotonically ordered) wavenumber lattice; the x-norm is
     ``ulspaces.holder_norms`` (Zygmund for fractional rho).
     """
-    if dd is None:
-        dd = DyadicDecomposition(grid)
     d = grid.dim
     sorted_axes = [np.sort(w) for w in grid.wavenumbers]
     xi_mesh = np.meshgrid(*sorted_axes, indexing="ij")
     xi_shape = xi_mesh[0].shape
     xis = np.stack([k.ravel() for k in xi_mesh], axis=-1)
-    table = _symbol_table(sym, grid, xis).reshape(xi_shape + grid.shape)
+    # rows off the origin are checked like ParaSymbol.values; at xi = 0, where
+    # a symbol homogeneous of negative order (q) is infinite, a value that is
+    # not finite counts as 0 (lambda, |xi| and i xi_1 are 0 there already)
+    origin = ~xis.any(axis=1)
+    rest = sym._rows(grid, xis[~origin])
+    with np.errstate(all="ignore"):
+        at_origin = np.broadcast_to(sym.eval(xis[origin]), (1,) + grid.shape)
+    table = np.zeros((len(xis),) + grid.shape, dtype=np.result_type(rest, float))
+    table[~origin] = rest
+    table[origin] = np.where(np.isfinite(at_origin), at_origin, 0.0)
+    table = table.reshape(xi_shape + grid.shape)
 
     xi_abs = np.sqrt(sum(k ** 2 for k in xi_mesh))
     lattice_mask = xi_abs >= 0.5
@@ -122,7 +125,7 @@ def symbol_seminorm(sym: ParaSymbol, grid: PeriodicGrid,
         for ax in range(d):
             for _ in range(alpha[ax]):
                 der = np.gradient(der, spacings[ax], axis=ax)
-        wnorms = holder_norms(der, grid, sym.regularity, dd)
+        wnorms = holder_norms(der, grid, sym.regularity)
         weighted = bracket ** (sum(alpha) - sym.order) * wnorms
         cand = float(np.max(np.where(lattice_mask, weighted, 0.0)))
         best = max(best, cand)

@@ -4,7 +4,6 @@ import pytest
 from wavestrip.core import (
     SurfaceState,
     hamiltonian,
-    mass,
     taylor_coefficient,
     trace_velocities,
     ww_rhs,

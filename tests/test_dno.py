@@ -58,6 +58,8 @@ def flat_dno_oracle(psi: Field, h: float) -> Field:
     ("delta", -0.1, "delta"),
     ("zpoints", 2, "zpoints"),
     ("tol", 0.0, "tol"),
+    ("tol", np.inf, "tol"),
+    ("tol", 1.0, "tol"),
     ("maxiter", 0, "maxiter"),
     ("h", np.inf, "depth"),
     ("delta", np.inf, "delta"),
@@ -69,15 +71,18 @@ def flat_dno_oracle(psi: Field, h: float) -> Field:
 ])
 def test_dno_params_reject_values_that_break_the_solve(field, value, match):
     # zpoints 2 leaves no interior node, maxiter 0 no GMRES cycle, tol 0 a
-    # target below rounding, and delta < 0 makes E(delta z) amplify high modes;
-    # an infinite h returns a wrong G(eta) psi, and an infinite delta, a
+    # target below rounding, a tol >= 1 one the zero start already meets (the
+    # lift comes back unsolved), and delta < 0 makes E(delta z) amplify high
+    # modes; an infinite h returns a wrong G(eta) psi, and an infinite delta, a
     # non-integral zpoints or a bool maxiter fails later inside the solve, and
     # a NaN h or delta gives non-finite coefficients
     with pytest.raises(ValueError, match=match):
         DNOParams(**{field: value})
 
 
-@pytest.mark.parametrize("limits, match", [(dict(tol=0.0), "tol"), (dict(maxiter=0), "maxiter")])
+@pytest.mark.parametrize("limits, match", [
+    (dict(tol=0.0), "tol"), (dict(maxiter=0), "maxiter"), (dict(tol=np.inf), "tol"),
+    (dict(tol=1.0), "tol")])
 def test_strip_solver_rejects_the_limits_dno_params_rejects(limits, match):
     # StripSolver takes tol and maxiter loose, as perfbench/run.py builds it
     eta = field_from_function(GRID, lambda x: 0.1 * np.cos(x))

@@ -63,6 +63,19 @@ def test_make_grid_rejects_a_count_that_is_not_an_integer(n):
         PeriodicGrid((2 * np.pi,), (n,))
 
 
+@pytest.mark.parametrize("lengths, points", [([2 * np.pi], [64]), ([2 * np.pi], (64,)),
+                                             ((2 * np.pi,), [64])],
+                         ids=["both-lists", "lengths-list", "points-list"])
+def test_grid_rejects_lengths_or_points_that_are_not_tuples(lengths, points):
+    # a list would become the grid's shape, which no Field matches, and make
+    # the grid unhashable; make_grid converts
+    with pytest.raises(InvalidGridError, match="tuples"):
+        PeriodicGrid(lengths, points)
+    grid = make_grid(lengths, points)
+    assert Field(grid, np.zeros(64)).grid is grid
+    assert hash(grid) == hash(make_grid([2 * np.pi], [64]))
+
+
 def test_make_grid_takes_a_numpy_integer_count():
     assert make_grid([2 * np.pi], [np.int64(16)]) == make_grid([2 * np.pi], [16])
 

@@ -4,7 +4,6 @@ import pytest
 from wavestrip.grid import Field, field_from_function, make_grid, norm_l2
 from wavestrip.paradiff import (
     EPS2,
-    ParaSymbol,
     SymbolDomainError,
     cutoff_psi,
     cutoff_theta,
@@ -94,11 +93,11 @@ def test_paraproduct_matches_per_mode_reference(case):
 
 @pytest.mark.parametrize("case", kernel_cases(), ids=["1d64", "1d128", "2d16x24"])
 def test_paradiff_apply_matches_per_mode_reference(case):
-    from wavestrip.symmetrizer import dno_principal_symbol, symmetrizer_symbols
+    from wavestrip.symmetrizer import dno_principal_symbol, symmetrizer_symbol
 
     grid, eta, _, u, uc = case
     taylor = Field(grid, 1.0 + 0.2 * np.cos(grid.meshes()[0]))
-    _, q = symmetrizer_symbols(taylor, eta)
+    q = symmetrizer_symbol(taylor, eta)
     for sym in (dno_principal_symbol(eta), q):
         for arg in (u, uc):
             ref = reference_apply(symbol_column_hat(sym, grid), arg)
@@ -118,7 +117,7 @@ def test_kernel_spectrum_is_hermitian_on_white_noise(lengths, points, monkeypatc
     # the spectrum handed to the kernel's ifftn, before any projection to
     # real values
     from wavestrip import paradiff
-    from wavestrip.symmetrizer import dno_principal_symbol, symmetrizer_symbols
+    from wavestrip.symmetrizer import dno_principal_symbol, symmetrizer_symbol
 
     spectra = []
 
@@ -132,7 +131,7 @@ def test_kernel_spectrum_is_hermitian_on_white_noise(lengths, points, monkeypatc
     rng = np.random.default_rng(11)
     a, u = (Field(grid, rng.normal(size=grid.shape)) for _ in range(2))
     eta = Field(grid, 0.1 * np.cos(x[0]) + 0.05 * np.sin(sum(x)))
-    _, q = symmetrizer_symbols(Field(grid, 1.0 + 0.2 * np.cos(x[-1])), eta)
+    q = symmetrizer_symbol(Field(grid, 1.0 + 0.2 * np.cos(x[-1])), eta)
     paraproduct(a, u)
     paradiff_apply(dno_principal_symbol(eta), u)
     paradiff_apply(q, u)
@@ -267,38 +266,58 @@ def test_blockwise_close_on_smooth_data():
 def test_symbol_table_rows_are_one_row_values(lengths, points):
     import warnings
 
-    from wavestrip.paradiff import _symbol_table
-    from wavestrip.symmetrizer import dno_principal_symbol, symmetrizer_symbols
+    from wavestrip.symmetrizer import dno_principal_symbol, symmetrizer_symbol
 
     grid = make_grid(lengths, points)
     x = grid.meshes()
     eta = Field(grid, 0.1 * np.cos(x[0]) + 0.05 * np.sin(sum(x)))
     b = Field(grid, 1.0 + 0.2 * np.cos(x[-1]))
-    gamma, q = symmetrizer_symbols(b, eta)
-    syms = [dno_principal_symbol(eta), gamma, q,
+    syms = [dno_principal_symbol(eta), symmetrizer_symbol(b, eta),
             x_independent_symbol(1.0, lambda xi: np.sqrt(1.0 + np.sum(xi ** 2, axis=-1))),
-            separable_symbol(b, 1.0, lambda xi: np.linalg.norm(xi, axis=-1),
-                             homogeneous=True)]
+            separable_symbol(b, 1.0, lambda xi: np.linalg.norm(xi, axis=-1))]
     xis = np.stack([k.ravel() for k in grid.wavenumber_meshes()], axis=-1)
     assert not xis[0].any()
+    xis = xis[1:]  # the kernel never tabulates xi = 0
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a homogeneous symbol is never evaluated at 0
+        warnings.simplefilter("error")  # no symbol is evaluated where it is undefined
         for sym in syms:
-            table = _symbol_table(sym, grid, xis)
-            if sym.homogeneous:
-                assert not table[0].any()
-            else:
-                np.testing.assert_array_equal(table[0], sym.values(grid, xis[0]))
-            for row, xi in zip(table[1:], xis[1:]):
+            table = sym._rows(grid, xis)
+            for row, xi in zip(table, xis):
                 np.testing.assert_array_equal(row, sym.values(grid, xi))
-        assert np.isfinite(symbol_seminorm(q, grid))
+        assert np.isfinite(symbol_seminorm(syms[1], grid))
         u = Field(grid, np.cos(5 * x[0]) + np.sin(3 * x[-1]))
-        assert np.all(np.isfinite(paradiff_apply(q, u).values))
+        assert np.all(np.isfinite(paradiff_apply(syms[1], u).values))
+
+
+@pytest.mark.parametrize("lengths, points", [([2 * np.pi], [64]),
+                                             ([2 * np.pi, 3 * np.pi], [16, 24])],
+                         ids=["1d64", "2d16x24"])
+def test_kernel_never_tabulates_the_origin(lengths, points):
+    # psi(0) = 0 drops the column eta = 0 even when u has a mean, so a
+    # symbol that is NaN at xi = 0 gives the same T_a u as |xi|
+    grid = make_grid(lengths, points)
+    x = grid.meshes()
+    b = Field(grid, 1.0 + 0.2 * np.cos(x[-1]))
+    u = Field(grid, 0.7 + np.cos(3 * x[0]) + np.random.default_rng(2).normal(size=grid.shape))
+    assert abs(np.mean(u.values)) > 0.5
+    stacks = []
+
+    def nan_at_origin(xis):
+        stacks.append(xis.copy())
+        r = np.linalg.norm(xis, axis=-1)
+        return np.where(r > 0, r, np.nan)
+
+    out = paradiff_apply(separable_symbol(b, 1.0, nan_at_origin), u)
+    assert stacks
+    assert all(np.any(xis != 0.0, axis=1).all() for xis in stacks)
+    assert np.all(np.isfinite(out.values))
+    abs_xi = separable_symbol(b, 1.0, lambda xi: np.linalg.norm(xi, axis=-1))
+    np.testing.assert_array_equal(out.values, paradiff_apply(abs_xi, u).values)
 
 
 def test_paradiff_multiplier_reduction():
     u = cexp(GRID, 4)
-    sym = x_independent_symbol(1.0, lambda xi: np.linalg.norm(xi, axis=-1), homogeneous=True)
+    sym = x_independent_symbol(1.0, lambda xi: np.linalg.norm(xi, axis=-1))
     out = paradiff_apply(sym, u)
     assert np.allclose(out.values, 4.0 * u.values, atol=1e-11)
 
@@ -307,7 +326,7 @@ def test_paradiff_factorization_route():
     b = field_from_function(GRID, lambda x: 1.0 + 0.4 * np.cos(x))
     k = 24
     u = cexp(GRID, k)
-    sym = separable_symbol(b, 1.0, lambda xi: np.linalg.norm(xi, axis=-1), homogeneous=True)
+    sym = separable_symbol(b, 1.0, lambda xi: np.linalg.norm(xi, axis=-1))
     general = paradiff_apply(sym, u)
     factored = separable_apply(b, lambda km: np.sqrt(np.sum(km ** 2, axis=0)), u)
     assert np.max(np.abs(general.values - factored.values)) < 1e-10
@@ -379,10 +398,9 @@ def test_remainder_smoothing_on_rough_data():
 
 def test_composition_order_gain():
     b = field_from_function(GRID, lambda x: 1.0 + 0.3 * np.cos(x))
-    sym_a = separable_symbol(b, 1.0, lambda xi: np.linalg.norm(xi, axis=-1),
-                             regularity=1.0, homogeneous=True)
+    sym_a = separable_symbol(b, 1.0, lambda xi: np.linalg.norm(xi, axis=-1), regularity=1.0)
     b2 = Field(GRID, b.values ** 2)
-    sym_a2 = separable_symbol(b2, 2.0, lambda xi: np.sum(xi ** 2, axis=-1), homogeneous=True)
+    sym_a2 = separable_symbol(b2, 2.0, lambda xi: np.sum(xi ** 2, axis=-1))
     ratios, ks = [], [8, 16, 32]
     for k in ks:
         u = cexp(GRID, k)
@@ -396,36 +414,28 @@ def test_composition_order_gain():
 def test_seminorm_x_independent_bracket_symbol():
     sym = x_independent_symbol(1.0, lambda xi: np.sqrt(1.0 + np.sum(xi ** 2, axis=-1)))
     g = make_grid([2 * np.pi], [64])
-    val = symbol_seminorm(sym, g, DyadicDecomposition(g))
+    val = symbol_seminorm(sym, g)
     assert np.isfinite(val)
     assert 0.5 < val < 10.0
 
 
 def test_seminorm_scales_linearly_in_coefficient():
     g = make_grid([2 * np.pi], [64])
-    dd = DyadicDecomposition(g)
     v = field_from_function(g, lambda x: 0.5 + 0.25 * np.sin(x))
 
     def make(scale):
         vf = Field(g, scale * v.values)
-        return separable_symbol(vf, 1.0, lambda xi: 1j * xi[:, 0], regularity=0.5,
-                                homogeneous=True)
+        return separable_symbol(vf, 1.0, lambda xi: 1j * xi[:, 0], regularity=0.5)
 
-    s1 = symbol_seminorm(make(1.0), g, dd)
-    s3 = symbol_seminorm(make(3.0), g, dd)
+    s1 = symbol_seminorm(make(1.0), g)
+    s3 = symbol_seminorm(make(3.0), g)
     assert s3 == pytest.approx(3.0 * s1, rel=1e-8)
 
 
 def test_seminorm_zero_symbol():
     g = make_grid([2 * np.pi], [64])
     sym = x_independent_symbol(1.0, lambda xi: 0.0)
-    assert symbol_seminorm(sym, g, DyadicDecomposition(g)) == 0.0
-
-
-def test_homogeneous_symbol_rejects_origin():
-    sym = x_independent_symbol(1.0, lambda xi: np.linalg.norm(xi, axis=-1), homogeneous=True)
-    with pytest.raises(SymbolDomainError):
-        sym.values(GRID, np.zeros(1))
+    assert symbol_seminorm(sym, g) == 0.0
 
 
 def test_symbol_pole_raises_in_every_tabulation():

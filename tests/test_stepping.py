@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavestrip import stepping
-from wavestrip.core import SurfaceState, hamiltonian, ww_rhs
+from wavestrip.core import SurfaceState, ww_rhs
 from wavestrip.dno import DNOParams, dno_solve
 from wavestrip.grid import Field, field_from_function, make_grid, norm_l2
 from wavestrip.ulspaces import PartitionOfUnity

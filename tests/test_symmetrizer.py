@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavestrip.core import SurfaceState, TraceFields, taylor_coefficient, trace_velocities
+from wavestrip.core import SurfaceState, taylor_coefficient, trace_velocities
 from wavestrip.dno import DNOParams, straighten
 from wavestrip.grid import Field, bessel_potential, field_from_function, make_grid, norm_l2
 from wavestrip.paradiff import cutoff_psi, cutoff_theta, paradiff_apply
@@ -14,7 +14,7 @@ from wavestrip.symmetrizer import (
     good_unknowns,
     symmetrized_energy,
     symmetrized_pair,
-    symmetrizer_symbols,
+    symmetrizer_symbol,
 )
 from wavestrip.ulspaces import PartitionOfUnity
 
@@ -86,47 +86,43 @@ def test_symmetrizer_symbols_rest_values():
     g = 1.7
     a = Field(GRID, np.full(GRID.shape, g))
     eta = Field(GRID, np.zeros(GRID.shape))
-    gamma, q = symmetrizer_symbols(a, eta)
+    q = symmetrizer_symbol(a, eta)
     xi = np.array([4.0])
-    assert np.allclose(gamma.values(GRID, xi), np.sqrt(g * 4.0))
     assert np.allclose(q.values(GRID, xi), np.sqrt(g / 4.0))
-    assert gamma.order == 0.5 and q.order == -0.5
+    assert q.order == -0.5
 
 
 def test_symmetrizer_symbols_sqrt_scaling():
     eta = Field(GRID, np.zeros(GRID.shape))
-    g1, q1 = symmetrizer_symbols(Field(GRID, np.ones(GRID.shape)), eta)
-    g4, q4 = symmetrizer_symbols(Field(GRID, 4.0 * np.ones(GRID.shape)), eta)
+    q1 = symmetrizer_symbol(Field(GRID, np.ones(GRID.shape)), eta)
+    q4 = symmetrizer_symbol(Field(GRID, 4.0 * np.ones(GRID.shape)), eta)
     xi = np.array([2.0])
-    assert np.allclose(g4.values(GRID, xi), 2.0 * g1.values(GRID, xi))
     assert np.allclose(q4.values(GRID, xi), 2.0 * q1.values(GRID, xi))
 
 
 def test_symmetrizer_rejects_sign_violation():
     a = Field(GRID, np.cos(GRID.axes()[0]))  # touches zero and below
     with pytest.raises(TaylorSignError):
-        symmetrizer_symbols(a, Field(GRID, np.zeros(GRID.shape)))
+        symmetrizer_symbol(a, Field(GRID, np.zeros(GRID.shape)))
 
 
 def test_symmetrizer_pointwise_identities():
     x = GRID.axes()[0]
     a = Field(GRID, 1.0 + 0.2 * np.cos(x))
     eta = field_from_function(GRID, lambda xx: 0.05 * np.cos(xx))
-    gamma, q = symmetrizer_symbols(a, eta)
+    q = symmetrizer_symbol(a, eta)
     lam = dno_principal_symbol(eta)
     for kval in (1.0, 3.0, 17.0):
         xi = np.array([kval])
-        gv, qv = gamma.values(GRID, xi), q.values(GRID, xi)
-        lv = lam.values(GRID, xi)
-        assert np.max(np.abs(gv * qv - a.values)) < 1e-12
-        assert np.max(np.abs(gv / qv - lv)) < 1e-12
+        qv, lv = q.values(GRID, xi), lam.values(GRID, xi)
+        assert np.max(np.abs(qv ** 2 * lv - a.values)) < 1e-12
 
 
 def test_theta_field_zero_and_rest_mode():
     # theta_s = T_q zeta_s, the paradifferential apply symmetrized_pair makes
     zeta0 = Field(GRID, np.zeros(GRID.shape))
     eta = Field(GRID, np.zeros(GRID.shape))
-    _, q = symmetrizer_symbols(Field(GRID, np.ones(GRID.shape)), eta)
+    q = symmetrizer_symbol(Field(GRID, np.ones(GRID.shape)), eta)
     assert norm_l2(paradiff_apply(q, zeta0)) < 1e-13
     k = 9
     x = GRID.axes()[0]
@@ -140,7 +136,7 @@ def test_theta_dual_realization_cross_check():
     x = GRID.axes()[0]
     a = Field(GRID, 1.0 + 0.2 * np.cos(x))
     eta = field_from_function(GRID, lambda xx: 0.03 * np.cos(xx))
-    _, q = symmetrizer_symbols(a, eta)
+    q = symmetrizer_symbol(a, eta)
     zs = Field(GRID, np.cos(11 * x) + 0.5 * np.sin(5 * x))
     general = paradiff_apply(q, zs)
     from paradiff_reference import separable_apply

@@ -12,7 +12,7 @@ from wavestrip.ulspaces import DyadicDecomposition, _zygmund_norms, holder_norms
 
 def dyadic_block(u: Field, j: int, dd: DyadicDecomposition) -> Field:
     """Frequency block Delta_j u."""
-    mult = dd.block_multiplier(j)
+    mult = dd.block_multipliers[j + 1]
     return Field(u.grid, apply_half_symbols(u.values, u.grid, (mult,))[0])
 
 
@@ -21,6 +21,6 @@ def zygmund_norm(u: Field, sigma: float, dd: DyadicDecomposition) -> float:
     return float(_zygmund_norms(u.values, u.grid, sigma, dd))
 
 
-def holder_norm(u: Field, rho: float, dd: DyadicDecomposition | None = None) -> float:
+def holder_norm(u: Field, rho: float) -> float:
     """W^{rho,inf} norm of one field, as in ``holder_norms``."""
-    return float(holder_norms(u.values, u.grid, rho, dd))
+    return float(holder_norms(u.values, u.grid, rho))
