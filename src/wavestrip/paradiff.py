@@ -14,13 +14,16 @@ between |zeta| = EPS1 |eta| and EPS2 |eta| (0.1 and 0.2), both through
 One private kernel evaluates T_a u exactly as the matrix product
 (Theta o C) psi u^, with C[xi, eta] = c^_eta(xi - eta) the symbol spectrum
 at the column's eta, in fixed-size chunks of eta columns and only on the
-pairs where theta is not zero.  ``paraproduct`` (a = a(x)) and
-``paradiff_apply`` (a = a(x, xi), tabulated at the lattice eta with
-psi(eta) u^(eta) != 0, so never at eta = 0) both call it.  Its band is
-symmetric: along each axis the Nyquist index, which has no mirror, is
-neither a row xi nor a column eta, and |xi - eta| < N/2; so a Hermitian
-symbol maps real data to a real T_a u.  A convolution in frequency, the
-kernel alone in the package takes full complex transforms.
+pairs where theta is not zero.  Those pairs depend on the grid alone:
+``_pair_table`` screens them once per grid, on first use, and
+``_PAIR_TABLES`` keeps the table while the grid lives, so a call only
+weights, gathers and sums.  ``paraproduct`` (a = a(x)) and
+``paradiff_apply`` (a = a(x, xi), tabulated at the table's columns eta,
+where psi(eta) != 0, with u^(eta) != 0, so never at eta = 0) both call it.
+Its band is symmetric: along each axis the Nyquist index, which has no
+mirror, is neither a row xi nor a column eta, and |xi - eta| < N/2; so a
+Hermitian symbol maps real data to a real T_a u.  A convolution in
+frequency, the kernel alone in the package takes full complex transforms.
 
 A symbol is evaluated on stacks of wavenumbers: ``ParaSymbol.eval(xis)``
 takes xis of shape (m, d) and returns values broadcastable to
@@ -35,11 +38,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
+from weakref import WeakKeyDictionary
 
 import numpy as np
 import scipy.fft as sfft
 
-from wavestrip.grid import Field, PeriodicGrid
+from wavestrip.grid import Field, PeriodicGrid, _read_only
 from wavestrip.ulspaces import smooth_step
 
 
@@ -101,53 +105,108 @@ class ParaSymbol:
         return self._rows(grid, np.atleast_2d(np.asarray(xi, dtype=float)))[0]
 
 
-# (xi, eta) pairs screened per chunk of eta columns; bounds the working set
-# (the tracemalloc peak of a 2-D 64^2 paraproduct stays near 2 MB)
+# (xi, eta) pairs per chunk of eta columns, in the screening and in each
+# call; bounds the working set (a 2-D 64^2 paraproduct peaks near 18 MB of
+# tracemalloc when it screens the grid, 8.6 MB of it the table it keeps,
+# and a cached call adds 0.5 MB to the table)
 _CHUNK_PAIRS = 2 ** 17
+
+
+# per grid, the kernel's pair table; an entry lives as long as its grid
+_PAIR_TABLES: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _pair_table(grid: PeriodicGrid) -> tuple[np.ndarray, ...]:
+    """The kernel's band on ``grid``, screened on first use and shared,
+    read-only, afterwards.
+
+    A pair (xi, eta) is in the band when |xi|, |eta| and |xi - eta| are
+    below N/2 along each axis in signed lattice indices (the Nyquist index
+    is neither a row nor a column) and theta(|xi - eta|, |eta|) != 0, which
+    needs |xi - eta| < EPS2 |eta|.  Returns (psi, cols, k, ptr, owner, xi,
+    zeta, theta): psi on the lattice; the flat indices cols of the columns
+    eta with psi(eta) != 0, ascending, and their wavenumbers k, shape
+    (C, d); and, grouped by column, the pairs: entries ptr[j]:ptr[j + 1] of
+    owner (j), xi (flat, ascending), zeta (flat (xi - eta) mod N) and theta
+    belong to column cols[j].  The columns are screened in chunks of
+    ``_CHUNK_PAIRS`` (xi, eta) pairs.
+    """
+    table = _PAIR_TABLES.get(grid)
+    if table is not None:
+        return table
+    psi = cutoff_psi(grid.abs_wavenumber())
+    cols = np.flatnonzero(psi)
+    at = np.unravel_index(cols, grid.shape)
+    k = np.stack([kx[c] for kx, c in zip(grid.wavenumbers, at)], axis=-1)
+    eta_abs = np.sqrt(np.sum(k ** 2, axis=-1))
+    # signed lattice index of the nodes along each axis, in FFT order
+    signed = [(np.arange(n) + n // 2) % n - n // 2 for n in grid.points]
+    inside = [np.abs(s) < n // 2 for s, n in zip(signed, grid.points)]  # not Nyquist
+    scale = [2.0 * np.pi / L for L in grid.lengths]
+    column = (-1,) + (1,) * grid.dim
+    parts = []
+    per_chunk = max(1, _CHUNK_PAIRS // grid.size)
+    # one chunk at least, so a grid without columns gets an empty table
+    for start in range(0, max(cols.size, 1), per_chunk):
+        chunk = slice(start, start + per_chunk)
+        # |xi - eta|^2 over (column, xi axes...), infinite where unresolved
+        zeta2 = 0.0
+        for ax, n in enumerate(grid.points):
+            along = [1] * (grid.dim + 1)
+            along[ax + 1] = n
+            c = at[ax][chunk].reshape(column)
+            diff = signed[ax].reshape(along) - signed[ax][c]
+            ok = inside[ax].reshape(along) & inside[ax][c] & (np.abs(diff) < n // 2)
+            zeta2 = zeta2 + np.where(ok, (diff * scale[ax]) ** 2, np.inf)
+        col, *xi = np.nonzero(zeta2 < (EPS2 * eta_abs[chunk].reshape(column)) ** 2)
+        theta = cutoff_theta(np.sqrt(zeta2[(col, *xi)]), eta_abs[chunk][col])
+        keep = theta != 0.0
+        col, xi = col[keep], [x[keep] for x in xi]
+        zeta = [(x - a[chunk][col]) % n for x, a, n in zip(xi, at, grid.points)]
+        parts.append((start + col, np.ravel_multi_index(xi, grid.shape),
+                      np.ravel_multi_index(zeta, grid.shape), theta[keep]))
+    owner, xi, zeta, theta = (np.concatenate(p) for p in zip(*parts))
+    ptr = np.searchsorted(owner, np.arange(cols.size + 1))
+    table = tuple(_read_only(a) for a in (psi, cols, k, ptr, owner, xi, zeta, theta))
+    _PAIR_TABLES[grid] = table
+    return table
 
 
 def _lattice_apply(u: Field, column_spectra, real: bool) -> Field:
     """T_a u = ifftn((Theta o C) (psi u^) / N), real part only when ``real``.
 
-    Theta[xi, eta] = theta(|xi - eta|, |eta|) where |xi|, |eta| and
-    |xi - eta| are below N/2 along each axis in signed lattice indices (0
-    elsewhere), and C[xi, eta] = c^_eta((xi - eta) mod N).
+    Theta[xi, eta] = theta(|xi - eta|, |eta|) on the band of ``_pair_table``
+    (0 elsewhere), and C[xi, eta] = c^_eta((xi - eta) mod N).
     ``column_spectra(k_eta)`` maps the wavenumbers of a chunk of columns
     (shape (m, d)) to the spectra c^_eta, shape (m, *grid.shape), or to one
-    spectrum of shape grid.shape shared by all.  Only columns with
-    psi(eta) u^(eta) != 0 enter, and since theta vanishes for
-    |xi - eta| >= EPS2 |eta| only the pairs inside that ball are formed.
+    spectrum of shape grid.shape shared by all.  Only the table's columns
+    with psi(eta) u^(eta) != 0 enter, ``_CHUNK_PAIRS // N`` at a time; a
+    chunk reads one contiguous slice of the table and tabulates the symbol
+    on its own columns only.  Each xi bin sums its terms in ascending
+    column order.
     """
     grid = u.grid
-    weights = (cutoff_psi(grid.abs_wavenumber()) * sfft.fftn(u.values)).ravel()
-    active = np.flatnonzero(weights)
-    # signed lattice index of the nodes along each axis, in FFT order
-    signed = [(np.arange(n) + n // 2) % n - n // 2 for n in grid.points]
-    inside = [np.abs(s) < n // 2 for s, n in zip(signed, grid.points)]  # not Nyquist
-    scale = [2.0 * np.pi / L for L in grid.lengths]
+    psi, cols, k, ptr, owner, xis, zetas, thetas = _pair_table(grid)
+    weights = (psi * sfft.fftn(u.values)).ravel()
+    on = weights[cols] != 0
+    active = np.flatnonzero(on)
     out = np.zeros(grid.size, dtype=complex)
     per_chunk = max(1, _CHUNK_PAIRS // grid.size)
     for start in range(0, active.size, per_chunk):
         chunk = active[start:start + per_chunk]
-        cols = np.unravel_index(chunk, grid.shape)
-        k_eta = np.stack([k[c] for k, c in zip(grid.wavenumbers, cols)], axis=-1)
-        eta_abs = np.sqrt(np.sum(k_eta ** 2, axis=-1))
-        # |xi - eta|^2 over (xi axes..., column), infinite where unresolved
-        zeta2 = 0.0
-        for ax, n in enumerate(grid.points):
-            along = [1] * (grid.dim + 1)
-            along[ax] = n
-            diff = signed[ax].reshape(along) - signed[ax][cols[ax]]
-            ok = inside[ax].reshape(along) & inside[ax][cols[ax]] & (np.abs(diff) < n // 2)
-            zeta2 = zeta2 + np.where(ok, (diff * scale[ax]) ** 2, np.inf)
-        *xi, col = np.nonzero(zeta2 < (EPS2 * eta_abs) ** 2)
-        zeta = tuple((x - c[col]) % n for x, c, n in zip(xi, cols, grid.points))
-        spectra = np.broadcast_to(np.asarray(column_spectra(k_eta)),
-                                  (len(k_eta),) + grid.shape)
-        vals = (cutoff_theta(np.sqrt(zeta2[(*xi, col)]), eta_abs[col])
-                * spectra[(col, *zeta)] * weights[chunk][col])
-        flat = np.ravel_multi_index(tuple(xi), grid.shape)
-        out += np.bincount(flat, vals.real, grid.size) + 1j * np.bincount(flat, vals.imag, grid.size)
+        first, stop = chunk[0], chunk[-1] + 1
+        pairs = slice(ptr[first], ptr[stop])
+        col = owner[pairs] - first
+        xi, zeta, theta = xis[pairs], zetas[pairs], thetas[pairs]
+        if stop - first > chunk.size:  # the slice holds inactive columns too
+            span = on[first:stop]
+            keep = span[col]
+            col = (np.cumsum(span) - 1)[col[keep]]
+            xi, zeta, theta = xi[keep], zeta[keep], theta[keep]
+        spectra = np.reshape(column_spectra(k[chunk]), (-1, grid.size))
+        vals = (theta * spectra[col if len(spectra) > 1 else 0, zeta]
+                * weights[cols[chunk]][col])
+        out += np.bincount(xi, vals.real, grid.size) + 1j * np.bincount(xi, vals.imag, grid.size)
     t_au = sfft.ifftn(out.reshape(grid.shape) / grid.size)
     return Field(grid, t_au.real if real else t_au)
 

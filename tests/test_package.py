@@ -2,17 +2,19 @@
 things it ships, no module under src/ reaches into the tests, no module of
 src/ or tests/ imports a name it does not use, only the paradifferential
 layer touches the full complex lattice and paradiff, the settable values do
-not grow, and every name and call shape the benchmark in perfbench/ reads
-still exists."""
+not grow, every name and call shape the benchmark in perfbench/ reads
+still exists, and importing the package builds no per-grid table."""
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
 import inspect
+import os
 import pathlib
 import pkgutil
 import re
+import subprocess
 import sys
 
 import pytest
@@ -211,3 +213,15 @@ def test_benchmark_calls_bind(module, name, args, kwargs):
     # the argument shapes of the calls perfbench/run.py makes
     fn = getattr(importlib.import_module(f"wavestrip.{module}"), name)
     inspect.signature(fn).bind(*range(args), **dict.fromkeys(kwargs))
+
+
+def test_import_builds_no_table():
+    # the benchmark's setup_s times imports, so the per-grid tables are
+    # built on first use; a fresh interpreter sees the import alone
+    code = ("import wavestrip.stepping\n"
+            "from wavestrip import dno, paradiff\n"
+            "assert len(paradiff._PAIR_TABLES) == 0\n"
+            "assert len(dno._STRAIGHTENING_TABLES) == 0\n")
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": path})

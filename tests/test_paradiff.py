@@ -1,10 +1,14 @@
+import gc
+
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from wavestrip.grid import Field, field_from_function, make_grid, norm_l2
 from wavestrip.paradiff import (
     EPS2,
     SymbolDomainError,
+    _PAIR_TABLES,
     cutoff_psi,
     cutoff_theta,
     paradiff_apply,
@@ -172,6 +176,94 @@ def test_paraproduct_memory_bound_2d():
     assert peak < 32 * 2 ** 20
 
 
+def test_paradiff_apply_memory_bound_2d():
+    # the symbol is tabulated one chunk of columns at a time; the peak
+    # includes the screening of the grid's pair table
+    import tracemalloc
+
+    from wavestrip.symmetrizer import dno_principal_symbol
+
+    grid = make_grid([2 * np.pi, 2 * np.pi], [64, 64])
+    gc.collect()
+    assert grid not in _PAIR_TABLES
+    x = grid.meshes()
+    lam = dno_principal_symbol(Field(grid, 0.1 * np.cos(x[0]) + 0.05 * np.sin(x[1])))
+    u = Field(grid, np.random.default_rng(0).normal(size=grid.shape))
+    tracemalloc.start()
+    try:
+        paradiff_apply(lam, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid in _PAIR_TABLES
+    assert peak < 32 * 2 ** 20
+
+
+# lengths no other test uses, so no equal grid outlives this one
+@pytest.mark.parametrize("lengths, points", [([5.0], [64]), ([5.0, 7.0], [16, 24])],
+                         ids=["1d64", "2d16x24"])
+def test_pair_table_is_built_once_per_grid(lengths, points):
+    from wavestrip.symmetrizer import symmetrizer_symbol
+
+    grid = make_grid(lengths, points)
+    gc.collect()
+    assert grid not in _PAIR_TABLES
+    x = grid.meshes()
+    rng = np.random.default_rng(4)
+    a = Field(grid, 1.0 + 0.2 * np.cos(x[-1]) + 0.1 * rng.normal(size=grid.shape))
+    eta = Field(grid, 0.1 * np.cos(x[0]))
+    u = Field(grid, rng.normal(size=grid.shape))
+
+    def outputs(g):
+        a_g, u_g = Field(g, a.values), Field(g, u.values)
+        sym = symmetrizer_symbol(a_g, Field(g, eta.values))
+        return [paraproduct(a_g, u_g).values, paradiff_apply(sym, u_g).values]
+
+    first = outputs(grid)
+    table = _PAIR_TABLES[grid]
+    cached = outputs(grid)
+    twin = make_grid(lengths, points)
+    assert twin is not grid
+    separate = outputs(twin)
+    assert _PAIR_TABLES[twin] is table
+    for f, c, s in zip(first, cached, separate):
+        np.testing.assert_array_equal(c, f)
+        np.testing.assert_array_equal(s, f)
+
+    # a band-limited u tabulates the symbol on its active columns alone;
+    # samples in {-1, 0, 1} of period 4 have an exactly sparse spectrum
+    stacks = []
+
+    def recorded(xis):
+        stacks.append(xis.copy())
+        return np.linalg.norm(xis, axis=-1)
+
+    quarter = [n / 4 * 2 * np.pi / L for n, L in zip(grid.points, grid.lengths)]
+    band = Field(grid, np.round(np.cos(quarter[0] * x[0])) + np.round(np.sin(quarter[-1] * x[-1])))
+    paradiff_apply(separable_symbol(a, 1.0, recorded), band)
+    active = np.flatnonzero(cutoff_psi(grid.abs_wavenumber()) * sfft.fftn(band.values))
+    assert active.size == 2 * grid.dim
+    k = np.stack([km.ravel()[active] for km in grid.wavenumber_meshes()], axis=-1)
+    np.testing.assert_array_equal(np.concatenate(stacks), k)
+
+    # the entry goes with the last equal grid
+    del grid, twin, a, eta, u, band
+    gc.collect()
+    assert make_grid(lengths, points) not in _PAIR_TABLES
+
+
+def test_grid_without_columns_gives_zero():
+    # every |k| < 1/2, so psi vanishes on the whole lattice
+    from wavestrip.symmetrizer import dno_principal_symbol
+
+    grid = make_grid([200 * np.pi], [8])
+    u = Field(grid, np.cos(grid.meshes()[0] / 100))
+    for out in (paraproduct(u, u), paradiff_apply(dno_principal_symbol(u), u)):
+        np.testing.assert_array_equal(out.values, 0.0)
+    _, cols, *_ = _PAIR_TABLES[grid]
+    assert cols.size == 0
+
+
 def cexp(grid, k):
     x = grid.meshes()
     phase = sum(ki * xi for ki, xi in zip(np.atleast_1d(k), x))
@@ -313,6 +405,14 @@ def test_kernel_never_tabulates_the_origin(lengths, points):
     assert np.all(np.isfinite(out.values))
     abs_xi = separable_symbol(b, 1.0, lambda xi: np.linalg.norm(xi, axis=-1))
     np.testing.assert_array_equal(out.values, paradiff_apply(abs_xi, u).values)
+    # one NaN sample makes every u^(eta) NaN, and psi(0) NaN is not zero;
+    # the column eta = 0 still does not enter
+    spoiled = np.cos(3 * x[0])
+    spoiled.flat[5] = np.nan
+    stacks.clear()
+    paradiff_apply(separable_symbol(b, 1.0, nan_at_origin), Field(grid, spoiled))
+    assert stacks
+    assert all(np.any(xis != 0.0, axis=1).all() for xis in stacks)
 
 
 def test_paradiff_multiplier_reduction():

@@ -59,6 +59,10 @@ def test_config_validation():
         dict(dt=np.inf),  # T = 0.1 would run 0 steps and report ok
         dict(taylor_every=2.5),
         dict(taylor_every=True),
+        dict(symmetrized_s=np.nan),  # <D>^s would make every field NaN
+        dict(symmetrized_s=np.inf),
+        dict(ul_norm_s=(np.nan,)),  # a record would read eta_Hnan: nan
+        dict(ul_norm_s=(np.inf,)),
     ):
         with pytest.raises(ValueError):
             StepConfig(**{"dt": 0.1, **kwargs})
