@@ -53,8 +53,8 @@ from wavestrip.grid import (
 class SurfaceState:
     """Free-surface elevation and surface potential at one instant.
 
-    eta and psi are real and finite on one grid; gravity g and the still
-    depth h are positive and finite.
+    eta and psi are real and finite on one grid, the time t is finite, and
+    gravity g and the still depth h are positive and finite.
     """
 
     eta: Field
@@ -70,6 +70,8 @@ class SurfaceState:
             raise ValueError("eta and psi must be sampled on one grid")
         if not (np.all(np.isfinite(self.eta.values)) and np.all(np.isfinite(self.psi.values))):
             raise ValueError("eta and psi must be finite")
+        if not np.isfinite(self.t):
+            raise ValueError(f"t must be finite, got {self.t}")
         if not (0 < self.g < np.inf and 0 < self.h < np.inf):
             raise ValueError(
                 f"g and h must be positive and finite, got g = {self.g}, h = {self.h}")

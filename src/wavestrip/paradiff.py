@@ -14,12 +14,13 @@ between |zeta| = EPS1 |eta| and EPS2 |eta| (0.1 and 0.2), both through
 One private kernel evaluates T_a u exactly as the matrix product
 (Theta o C) psi u^, with C[xi, eta] = c^_eta(xi - eta) the symbol spectrum
 at the column's eta, in fixed-size chunks of eta columns and only on the
-pairs where theta is not zero.  Those pairs depend on the grid alone:
-``_pair_table`` screens them once per grid, on first use, and
-``_PAIR_TABLES`` keeps the table while the grid lives, so a call only
-weights, gathers and sums.  ``paraproduct`` (a = a(x)) and
-``paradiff_apply`` (a = a(x, xi), tabulated at the table's columns eta,
-where psi(eta) != 0, with u^(eta) != 0, so never at eta = 0) both call it.
+pairs where theta is not zero.  Those chunks and pairs depend on the grid
+alone: ``_pair_table`` screens them once per grid, on first use, chunk by
+chunk, and ``_PAIR_TABLES`` keeps them while the grid lives, so a call
+walks the stored chunks and only weights, tabulates, gathers and sums.
+``paraproduct`` (a = a(x)) and ``paradiff_apply`` (a = a(x, xi), tabulated
+at every column eta of the table, where psi(eta) != 0, so never at
+eta = 0) both call it.
 Its band is symmetric: along each axis the Nyquist index, which has no
 mirror, is neither a row xi nor a column eta, and |xi - eta| < N/2; so a
 Hermitian symbol maps real data to a real T_a u.  A convolution in
@@ -105,10 +106,10 @@ class ParaSymbol:
         return self._rows(grid, np.atleast_2d(np.asarray(xi, dtype=float)))[0]
 
 
-# (xi, eta) pairs per chunk of eta columns, in the screening and in each
-# call; bounds the working set (a 2-D 64^2 paraproduct peaks near 18 MB of
-# tracemalloc when it screens the grid, 8.6 MB of it the table it keeps,
-# and a cached call adds 0.5 MB to the table)
+# (xi, eta) pairs per chunk of eta columns, fixed at the screening and
+# walked by each call; bounds the working set (a 2-D 64^2 paraproduct peaks
+# near 10 MB of tracemalloc when it screens the grid, 8.6 MB of it the
+# table it keeps, and a cached call adds 0.5 MB to the table)
 _CHUNK_PAIRS = 2 ** 17
 
 
@@ -116,25 +117,25 @@ _CHUNK_PAIRS = 2 ** 17
 _PAIR_TABLES: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _pair_table(grid: PeriodicGrid) -> tuple[np.ndarray, ...]:
-    """The kernel's band on ``grid``, screened on first use and shared,
-    read-only, afterwards.
+def _pair_table(grid: PeriodicGrid) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The kernel's band on ``grid`` in chunks of columns, screened on first
+    use and shared, read-only, afterwards.
 
     A pair (xi, eta) is in the band when |xi|, |eta| and |xi - eta| are
     below N/2 along each axis in signed lattice indices (the Nyquist index
     is neither a row nor a column) and theta(|xi - eta|, |eta|) != 0, which
-    needs |xi - eta| < EPS2 |eta|.  Returns (psi, cols, k, ptr, owner, xi,
-    zeta, theta): psi on the lattice; the flat indices cols of the columns
-    eta with psi(eta) != 0, ascending, and their wavenumbers k, shape
-    (C, d); and, grouped by column, the pairs: entries ptr[j]:ptr[j + 1] of
-    owner (j), xi (flat, ascending), zeta (flat (xi - eta) mod N) and theta
-    belong to column cols[j].  The columns are screened in chunks of
-    ``_CHUNK_PAIRS`` (xi, eta) pairs.
+    needs |xi - eta| < EPS2 |eta|.  The columns eta with psi(eta) != 0 are
+    taken in ascending flat order, ``_CHUNK_PAIRS // N`` at a time, and each
+    chunk is (cols, psi, k, col, xi, zeta, theta): the flat indices cols of
+    its columns, psi there and their wavenumbers k, shape (m, d); and its
+    pairs, grouped by column: the chunk-local column col, xi (flat), zeta
+    (flat (xi - eta) mod N) and theta.  A grid without such columns has no
+    chunks.
     """
     table = _PAIR_TABLES.get(grid)
     if table is not None:
         return table
-    psi = cutoff_psi(grid.abs_wavenumber())
+    psi = cutoff_psi(grid.abs_wavenumber()).ravel()
     cols = np.flatnonzero(psi)
     at = np.unravel_index(cols, grid.shape)
     k = np.stack([kx[c] for kx, c in zip(grid.wavenumbers, at)], axis=-1)
@@ -144,10 +145,9 @@ def _pair_table(grid: PeriodicGrid) -> tuple[np.ndarray, ...]:
     inside = [np.abs(s) < n // 2 for s, n in zip(signed, grid.points)]  # not Nyquist
     scale = [2.0 * np.pi / L for L in grid.lengths]
     column = (-1,) + (1,) * grid.dim
-    parts = []
+    chunks = []
     per_chunk = max(1, _CHUNK_PAIRS // grid.size)
-    # one chunk at least, so a grid without columns gets an empty table
-    for start in range(0, max(cols.size, 1), per_chunk):
+    for start in range(0, cols.size, per_chunk):
         chunk = slice(start, start + per_chunk)
         # |xi - eta|^2 over (column, xi axes...), infinite where unresolved
         zeta2 = 0.0
@@ -163,11 +163,10 @@ def _pair_table(grid: PeriodicGrid) -> tuple[np.ndarray, ...]:
         keep = theta != 0.0
         col, xi = col[keep], [x[keep] for x in xi]
         zeta = [(x - a[chunk][col]) % n for x, a, n in zip(xi, at, grid.points)]
-        parts.append((start + col, np.ravel_multi_index(xi, grid.shape),
-                      np.ravel_multi_index(zeta, grid.shape), theta[keep]))
-    owner, xi, zeta, theta = (np.concatenate(p) for p in zip(*parts))
-    ptr = np.searchsorted(owner, np.arange(cols.size + 1))
-    table = tuple(_read_only(a) for a in (psi, cols, k, ptr, owner, xi, zeta, theta))
+        chunks.append(tuple(_read_only(a) for a in (
+            cols[chunk], psi[cols[chunk]], k[chunk], col, np.ravel_multi_index(xi, grid.shape),
+            np.ravel_multi_index(zeta, grid.shape), theta[keep])))
+    table = tuple(chunks)
     _PAIR_TABLES[grid] = table
     return table
 
@@ -179,33 +178,18 @@ def _lattice_apply(u: Field, column_spectra, real: bool) -> Field:
     (0 elsewhere), and C[xi, eta] = c^_eta((xi - eta) mod N).
     ``column_spectra(k_eta)`` maps the wavenumbers of a chunk of columns
     (shape (m, d)) to the spectra c^_eta, shape (m, *grid.shape), or to one
-    spectrum of shape grid.shape shared by all.  Only the table's columns
-    with psi(eta) u^(eta) != 0 enter, ``_CHUNK_PAIRS // N`` at a time; a
-    chunk reads one contiguous slice of the table and tabulates the symbol
-    on its own columns only.  Each xi bin sums its terms in ascending
-    column order.
+    spectrum of shape grid.shape shared by all.  Every column of the table
+    enters, one stored chunk at a time, and the symbol is tabulated on the
+    chunk's columns; a column with u^(eta) = 0 adds exact zeros.  Each xi
+    bin sums its terms in ascending column order.
     """
     grid = u.grid
-    psi, cols, k, ptr, owner, xis, zetas, thetas = _pair_table(grid)
-    weights = (psi * sfft.fftn(u.values)).ravel()
-    on = weights[cols] != 0
-    active = np.flatnonzero(on)
+    u_hat = sfft.fftn(u.values).ravel()
     out = np.zeros(grid.size, dtype=complex)
-    per_chunk = max(1, _CHUNK_PAIRS // grid.size)
-    for start in range(0, active.size, per_chunk):
-        chunk = active[start:start + per_chunk]
-        first, stop = chunk[0], chunk[-1] + 1
-        pairs = slice(ptr[first], ptr[stop])
-        col = owner[pairs] - first
-        xi, zeta, theta = xis[pairs], zetas[pairs], thetas[pairs]
-        if stop - first > chunk.size:  # the slice holds inactive columns too
-            span = on[first:stop]
-            keep = span[col]
-            col = (np.cumsum(span) - 1)[col[keep]]
-            xi, zeta, theta = xi[keep], zeta[keep], theta[keep]
-        spectra = np.reshape(column_spectra(k[chunk]), (-1, grid.size))
-        vals = (theta * spectra[col if len(spectra) > 1 else 0, zeta]
-                * weights[cols[chunk]][col])
+    for cols, psi, k, col, xi, zeta, theta in _pair_table(grid):
+        weights = psi * u_hat[cols]
+        spectra = np.reshape(column_spectra(k), (-1, grid.size))
+        vals = theta * spectra[col if len(spectra) > 1 else 0, zeta] * weights[col]
         out += np.bincount(xi, vals.real, grid.size) + 1j * np.bincount(xi, vals.imag, grid.size)
     t_au = sfft.ifftn(out.reshape(grid.shape) / grid.size)
     return Field(grid, t_au.real if real else t_au)
@@ -220,7 +204,7 @@ def paraproduct(a: Field, u: Field) -> Field:
 
 
 def paradiff_apply(sym: ParaSymbol, u: Field) -> Field:
-    """T_a u for a general symbol a(x, xi), tabulated at the active lattice eta."""
+    """T_a u for a general symbol a(x, xi), tabulated at the table's columns eta."""
     grid = u.grid
     axes = tuple(range(1, grid.dim + 1))
     return _lattice_apply(

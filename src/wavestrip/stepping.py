@@ -72,8 +72,8 @@ class StepConfig:
                 f"taylor_every must be an integer >= 1 or None, got {self.taylor_every!r}")
         if self.symmetrized_s is not None and not np.isfinite(self.symmetrized_s):
             raise ValueError(f"symmetrized_s must be finite or None, got {self.symmetrized_s}")
-        if not np.all(np.isfinite(self.ul_norm_s)):
-            raise ValueError(f"ul_norm_s must hold finite orders, got {self.ul_norm_s}")
+        if not (isinstance(self.ul_norm_s, tuple) and np.all(np.isfinite(self.ul_norm_s))):
+            raise ValueError(f"ul_norm_s must be a tuple of finite orders, got {self.ul_norm_s!r}")
         if self.scheme not in ("rk4", "parabolic-duhamel"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.scheme == "rk4" and self.epsilon > 0:

@@ -43,13 +43,15 @@ def test_state_rejects_eta_and_psi_on_different_grids():
 
 
 def test_state_rejects_nonfinite_fields_and_bad_g_or_h():
-    # each would otherwise fail inside integrate, or (g = 0) run without gravity
+    # each would otherwise fail inside integrate, run without gravity (g = 0)
+    # or end "ok" at a non-finite time (t)
     grid = make_grid([2 * np.pi], [16])
     zero, nan_at_3, inf_at_5 = np.zeros(16), np.zeros(16), np.zeros(16)
     nan_at_3[3], inf_at_5[5] = np.nan, np.inf
     for kwargs in (dict(eta=Field(grid, nan_at_3)), dict(psi=Field(grid, inf_at_5)),
                    dict(g=np.nan), dict(g=0.0), dict(g=-1.0), dict(g=np.inf),
-                   dict(h=-1.0), dict(h=0.0), dict(h=np.inf)):
+                   dict(h=-1.0), dict(h=0.0), dict(h=np.inf),
+                   dict(t=np.nan), dict(t=np.inf)):
         with pytest.raises(ValueError, match="finite"):
             SurfaceState(**{"eta": Field(grid, zero), "psi": Field(grid, zero), **kwargs})
 

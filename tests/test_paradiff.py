@@ -8,7 +8,9 @@ from wavestrip.grid import Field, field_from_function, make_grid, norm_l2
 from wavestrip.paradiff import (
     EPS2,
     SymbolDomainError,
+    _CHUNK_PAIRS,
     _PAIR_TABLES,
+    _pair_table,
     cutoff_psi,
     cutoff_theta,
     paradiff_apply,
@@ -230,8 +232,9 @@ def test_pair_table_is_built_once_per_grid(lengths, points):
         np.testing.assert_array_equal(c, f)
         np.testing.assert_array_equal(s, f)
 
-    # a band-limited u tabulates the symbol on its active columns alone;
-    # samples in {-1, 0, 1} of period 4 have an exactly sparse spectrum
+    # the symbol is tabulated once per table column, in ascending order,
+    # even for a u whose spectrum is exactly sparse: samples in {-1, 0, 1}
+    # of period 4
     stacks = []
 
     def recorded(xis):
@@ -241,9 +244,10 @@ def test_pair_table_is_built_once_per_grid(lengths, points):
     quarter = [n / 4 * 2 * np.pi / L for n, L in zip(grid.points, grid.lengths)]
     band = Field(grid, np.round(np.cos(quarter[0] * x[0])) + np.round(np.sin(quarter[-1] * x[-1])))
     paradiff_apply(separable_symbol(a, 1.0, recorded), band)
-    active = np.flatnonzero(cutoff_psi(grid.abs_wavenumber()) * sfft.fftn(band.values))
-    assert active.size == 2 * grid.dim
-    k = np.stack([km.ravel()[active] for km in grid.wavenumber_meshes()], axis=-1)
+    psi = cutoff_psi(grid.abs_wavenumber())
+    assert np.count_nonzero(psi * sfft.fftn(band.values)) == 2 * grid.dim
+    cols = np.flatnonzero(psi)
+    k = np.stack([km.ravel()[cols] for km in grid.wavenumber_meshes()], axis=-1)
     np.testing.assert_array_equal(np.concatenate(stacks), k)
 
     # the entry goes with the last equal grid
@@ -260,8 +264,29 @@ def test_grid_without_columns_gives_zero():
     u = Field(grid, np.cos(grid.meshes()[0] / 100))
     for out in (paraproduct(u, u), paradiff_apply(dno_principal_symbol(u), u)):
         np.testing.assert_array_equal(out.values, 0.0)
-    _, cols, *_ = _PAIR_TABLES[grid]
-    assert cols.size == 0
+    assert _PAIR_TABLES[grid] == ()
+
+
+# lengths no other test uses, as above
+@pytest.mark.parametrize("lengths, points", [([3.0], [64]), ([3.0, 4.0], [16, 24])],
+                         ids=["1d64", "2d16x24"])
+def test_pair_table_chunks_the_columns_with_psi(lengths, points):
+    grid = make_grid(lengths, points)
+    chunks = _pair_table(grid)
+    psi = cutoff_psi(grid.abs_wavenumber()).ravel()
+    np.testing.assert_array_equal(np.concatenate([c[0] for c in chunks]), np.flatnonzero(psi))
+    if grid.dim == 2:
+        assert len(chunks) > 1
+    meshes = [km.ravel() for km in grid.wavenumber_meshes()]
+    for cols, psi_c, k, col, xi, zeta, theta in chunks:
+        assert 1 <= cols.size <= _CHUNK_PAIRS // grid.size
+        np.testing.assert_array_equal(psi_c, psi[cols])
+        np.testing.assert_array_equal(k, np.stack([km[cols] for km in meshes], axis=-1))
+        assert np.all(np.diff(col) >= 0) and 0 <= col.min() and col.max() < cols.size
+        assert col.shape == xi.shape == zeta.shape == theta.shape
+        assert np.all(theta != 0.0)
+        for arr in (cols, psi_c, k, col, xi, zeta, theta):
+            assert not arr.flags.writeable
 
 
 def cexp(grid, k):

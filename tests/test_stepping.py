@@ -63,6 +63,9 @@ def test_config_validation():
         dict(symmetrized_s=np.inf),
         dict(ul_norm_s=(np.nan,)),  # a record would read eta_Hnan: nan
         dict(ul_norm_s=(np.inf,)),
+        dict(ul_norm_s=1.0),  # integrate would raise TypeError iterating it
+        dict(ul_norm_s=np.array([1.0, 2.0])),  # and this an ambiguous truth value
+        dict(ul_norm_s=[1.0]),  # a tuple, as PeriodicGrid asks
     ):
         with pytest.raises(ValueError):
             StepConfig(**{"dt": 0.1, **kwargs})
