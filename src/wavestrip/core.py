@@ -37,6 +37,7 @@ import numpy as np
 from wavestrip.dno import (
     DNOParams,
     DNOSolution,
+    StraightenedField,
     dno_solve,
     solve_laplace,
 )
@@ -109,11 +110,12 @@ def trace_velocities(state: SurfaceState, sol: DNOSolution) -> TraceFields:
 
 
 def ww_rhs(state: SurfaceState, params: DNOParams,
-           guess: DNOSolution | None) -> tuple[Field, Field, DNOSolution]:
+           guess: StraightenedField | None) -> tuple[Field, Field, DNOSolution]:
     """Tendencies (d_t eta, d_t psi) and the DNO solution used to build them.
 
     The potential is solved at the state's depth h with the other knobs of
-    ``params``; ``guess`` warm-starts that solve (None starts from zero).
+    ``params``; ``guess``, a potential such as an earlier solution's
+    ``phi``, warm-starts that solve (None starts from zero).
     """
     sol = dno_solve(state.eta, state.psi, replace(params, h=state.h), guess=guess)
     grid = state.eta.grid

@@ -29,8 +29,10 @@ the next cycle restarts from it, for at most ceil(maxiter / 80) cycles.  A
 strip solve takes real data only (G(eta) is a real operator, so a caller
 with complex psi solves its real and imaginary parts apart) and returns the
 solved field with its GMRES unknown, iteration count and true residual.
-Each solve builds its own solver, and one given a solved field as guess
-restarts from that unknown (see StripSolver.solve).
+Each solve builds its own solver, and one given a guess potential starts
+from it, with the change of surface data lifted by the harmonic extension
+of the flat strip of depth h, tabulated once per (grid, h, zpoints) on first
+use (see StripSolver.solve).
 Every x-derivative runs on the rfft half spectrum of the real samples,
 through ``grid``, the one package module imported here.  The
 preconditioner is the strip operator with alpha and g1 replaced by their
@@ -204,10 +206,11 @@ def _z_line(zpoints: int) -> _ZLine:
 @dataclass
 class StraightenedDomain:
     """The derivatives of rho(x, z) the solves read, each (nz, *grid.shape),
-    and the elliptic coefficients on the strip; ``delta`` is the smoothing
-    used, after any halvings."""
+    and the elliptic coefficients on the strip; ``h`` is the strip depth and
+    ``delta`` the smoothing used, after any halvings."""
 
     grid: PeriodicGrid
+    h: float
     delta: float
     z: np.ndarray                      # Chebyshev nodes, z[0] = 0, z[-1] = -1
     Dz: np.ndarray                     # differentiation matrix in z
@@ -256,7 +259,8 @@ def straighten(eta: Field, params: DNOParams) -> StraightenedDomain:
     Every derivative of rho that the coefficients need is linear in eta, so
     one cached table of half-spectrum multipliers (see _straightening_table)
     and one inverse transform give them all; the depth enters as the
-    constant h of d_z rho.
+    constant h of d_z rho.  The first straightening of a (grid, h, zpoints)
+    also builds the table of the warm-start lift (see _lift_table).
 
     Raises StraighteningError when min d_z rho < h/2 anywhere; the caller is
     expected to halve delta and retry (see straighten_adaptive).
@@ -264,6 +268,9 @@ def straighten(eta: Field, params: DNOParams) -> StraightenedDomain:
     grid, h = eta.grid, params.h
     line = _z_line(params.zpoints)
     table = _straightening_table(grid, params.delta, params.zpoints)
+    # the warm-start lift table is built here too, before any solve, so that
+    # no kept table is allocated among a solve's temporaries
+    _lift_table(grid, h, params.zpoints)
     drho_z, d2rho_z, lap_rho, *grads = irfft_x(table * rfft_x(eta.values, grid), grid)
     drho_z = drho_z + h
 
@@ -280,7 +287,7 @@ def straighten(eta: Field, params: DNOParams) -> StraightenedDomain:
     gamma = (d2rho_z + alpha * lap_rho
              + sum(b * g for b, g in zip(beta, grad_drho_z))) / drho_z
     return StraightenedDomain(
-        grid=grid, delta=params.delta, z=line.z, Dz=line.Dz, drho_z=drho_z,
+        grid=grid, h=h, delta=params.delta, z=line.z, Dz=line.Dz, drho_z=drho_z,
         drho_x=drho_x, alpha=alpha, beta=beta, gamma=gamma,
     )
 
@@ -319,6 +326,34 @@ def _straightening_table(grid: PeriodicGrid, delta: float,
     return tables[key]
 
 
+# per grid, the lift table of each (h, zpoints); an entry lives as long as
+# its grid
+_LIFT_TABLES: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _lift_table(grid: PeriodicGrid, h: float, zpoints: int) -> np.ndarray:
+    """Half-spectrum multipliers 1 - H at the z nodes 1.., with H the
+    harmonic extension of surface data into the flat strip of depth h,
+
+        H(k, z) = cosh(|k| h (1+z)) / cosh(|k| h)
+                = e^{|k| h z} (1 + e^{-2 |k| h (1+z)}) / (1 + e^{-2 |k| h}),
+
+    the second form free of overflow for z <= 0.  Shape
+    (zpoints - 1, *grid.half_shape); built on first use, which is the first
+    straightening at that h and zpoints, and shared, read-only, by every
+    solve on the grid.
+    """
+    tables = _LIFT_TABLES.setdefault(grid, {})
+    key = (h, zpoints)
+    if key not in tables:
+        zc = _z_line(zpoints).z[1:].reshape((-1,) + (1,) * grid.dim)
+        kh = np.sqrt(-grid.half_laplacian_symbol) * h
+        lift = np.exp(kh * zc) * (1.0 + np.exp(-2.0 * kh * (1.0 + zc))) \
+            / (1.0 + np.exp(-2.0 * kh))
+        tables[key] = _read_only(1.0 - lift)
+    return tables[key]
+
+
 MAX_DELTA_HALVINGS = 6
 
 
@@ -336,7 +371,11 @@ def straighten_adaptive(eta: Field, params: DNOParams) -> StraightenedDomain:
 
 @dataclass
 class StraightenedField:
-    """A field solved by ``StripSolver.solve`` on the (x, z) tensor grid."""
+    """A field solved by ``StripSolver.solve`` on the (x, z) tensor grid.
+
+    As a solve's guess it may also be a linear combination of solved fields,
+    with no iteration count (0) and no residual (nan) of its own.
+    """
 
     values: np.ndarray  # (nz, *grid.shape); row 0 is the surface z = 0
     # its GMRES unknown Phi[1:] - surface, iteration count and true relative
@@ -513,25 +552,39 @@ class StripSolver:
         ``source``, ``bottom_flux`` and ``guess`` are None when absent (see
         solve_laplace).  The result carries the GMRES unknown u = Phi[1:] - surface, the
         iteration count and the true relative residual |b - A u| / |b|.
-        ``guess`` is such a solved field, typically from a nearby surface,
-        on any domain of the same grid and zpoints; GMRES starts from
-        guess.unknown + (guess.values[0] - surface) instead of from zero,
-        free of the rounding of Phi = u + psi, so an exact guess takes no
-        iteration.  A guess without an unknown of shape
-        (nz - 1, *grid.shape), or complex data, raises ValueError.
+        ``guess`` is a potential in that form, typically solved on a nearby
+        surface, on any domain of the same grid and zpoints.  GMRES starts
+        from it instead of from zero: the surface change
+        d = surface - guess.values[0] is lifted by the harmonic extension H
+        of the flat strip of depth dom.h (see _lift_table), not by a
+        z-constant, so the start on the nodes 1.. is
+        guess.unknown - (d - H d).  An unchanged surface (d = 0) leaves
+        guess.unknown as it is, free of the rounding of Phi = u + psi, so an
+        exact guess takes no iteration.  A guess
+        without an unknown of shape (nz - 1, *grid.shape), or complex or
+        non-finite data, raises ValueError.
         """
         dom = self.dom
         grid = dom.grid
         nz, shape = dom.nz, grid.shape
-        if any(np.iscomplexobj(a) for a in (surface, source, bottom_flux)):
+        inputs = {"surface": surface, "source": source, "bottom flux": bottom_flux}
+        if any(np.iscomplexobj(a) for a in inputs.values()):
             raise ValueError("the strip solve takes real data; "
                              "solve the real and imaginary parts apart")
+        if guess is not None:
+            inputs.update({"guess unknown": guess.unknown, "guess surface": guess.values[0]})
+        for name, data in inputs.items():
+            if data is not None and not np.all(np.isfinite(data)):
+                raise ValueError(f"the strip solve takes finite data; the {name} is not")
         x0 = None
         if guess is not None:
             if np.shape(guess.unknown) != (nz - 1,) + shape:
                 raise ValueError(f"guess has shape {np.shape(guess.unknown)} of GMRES "
                                  f"unknown, expected {(nz - 1,) + shape}")
-            x0 = (guess.unknown + (guess.values[0] - surface)).ravel()
+            # x0 = unknown - (d - H d) for the surface change d
+            change = rfft_x(surface - guess.values[0], grid)
+            lifted = irfft_x(_lift_table(grid, dom.h, nz) * change, grid)
+            x0 = (guess.unknown - lifted).ravel()
         lap_surf, *grad_surf = apply_half_symbols(
             np.asarray(surface), grid,
             (grid.half_laplacian_symbol,) + grid.half_gradient_symbols)
@@ -554,7 +607,7 @@ class StripSolver:
 
         sol, residual, history = self._gmres(bvec, bnorm, x0)
         self.last_iterations = len(history)
-        if residual > max(50.0 * self.tol, 1e-13):
+        if not residual <= max(50.0 * self.tol, 1e-13):
             raise EllipticSolveError(residual, history)
         u = sol.reshape((nz - 1,) + shape)
         phi[1:] += u
@@ -571,9 +624,10 @@ def solve_laplace(dom: StraightenedDomain, psi: Field, params: DNOParams,
     ``source`` is the interior right-hand side F, an array of shape
     (nz, *grid.shape) whose interior rows are read.  ``bottom_flux``
     prescribes the conormal data (g1 d_z - g2 . grad_x) at z = -1 (physical
-    no-flux through the bottom when zero).  ``guess`` is a solved field
-    whose unknown starts GMRES (see StripSolver.solve).  Each call builds
-    its own StripSolver and returns the field it solved.
+    no-flux through the bottom when zero).  ``guess`` is a potential whose
+    unknown, with the change of surface data lifted harmonically, starts
+    GMRES (see StripSolver.solve).  Each call builds its own StripSolver and
+    returns the field it solved.
     """
     return StripSolver(dom, tol=params.tol, maxiter=params.maxiter).solve(
         psi.values, source,
@@ -599,19 +653,21 @@ def surface_flux(dom: StraightenedDomain, phi: StraightenedField) -> Field:
 
 
 def dno_solve(eta: Field, psi: Field, params: DNOParams,
-              guess: DNOSolution | None = None) -> DNOSolution:
+              guess: StraightenedField | None = None) -> DNOSolution:
     """Straighten the strip under eta and evaluate G(eta) psi, keeping the
     domain and potential for reuse; ``params`` carries every setting of
     both steps.
 
-    ``psi`` is real.  ``guess`` is an earlier solution, typically on a
-    nearby surface with the same grid and zpoints; its potential's GMRES
-    unknown starts GMRES (see StripSolver.solve).  It changes the iteration
-    count, not the tolerance the result meets.  ``phi`` is the solved field,
-    with its unknown and count.  Another datum on the same domain is
+    ``psi`` is real.  ``guess`` is a potential, typically the ``phi`` of an
+    earlier solution on a nearby surface with the same grid and zpoints, or
+    an extrapolation of such potentials; its GMRES unknown, with the change
+    of surface data lifted harmonically, starts GMRES (see
+    StripSolver.solve).  It changes the iteration count, not the tolerance
+    the result meets.  ``phi`` is the solved field, with its unknown and
+    count.  Another datum on the same domain is
     ``surface_flux(dom, solve_laplace(dom, psi, params))``.
     """
     dom = straighten_adaptive(eta, params)
-    phi = solve_laplace(dom, psi, params, guess=None if guess is None else guess.phi)
+    phi = solve_laplace(dom, psi, params, guess=guess)
     return DNOSolution(dom=dom, phi=phi, gpsi=surface_flux(dom, phi))
 

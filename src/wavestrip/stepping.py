@@ -28,6 +28,7 @@ from wavestrip.dno import (
     DNOParams,
     DNOSolution,
     EllipticSolveError,
+    StraightenedField,
     StraighteningError,
 )
 from wavestrip.grid import heat_propagator, is_count
@@ -122,17 +123,38 @@ def check_cfl(state: SurfaceState, cfg: StepConfig) -> None:
 
 
 def _default_rhs(cfg: StepConfig):
-    """ww_rhs whose potential solve starts from the previous call's solution.
+    """ww_rhs whose potential solve starts from the earlier calls' solutions.
 
-    Successive calls (RK stages, steps) see nearby surfaces, so the last
-    potential is a close GMRES starting point.
+    Successive calls (RK stages, steps) see nearby surfaces, so earlier
+    potentials give a close GMRES start.  Two solves are kept with their
+    times: the last one, and the last one at a different time.  A state at
+    the last solve's time starts from that potential; a state at another
+    time starts from the linear extrapolation in t of the two (values and
+    unknown), or from the last potential while only one time has been
+    solved.  In an RK4 step from t that is 2 Phi(t) - Phi(t - dt/2) at the
+    first midpoint stage and 2 Phi(t + dt/2) - Phi(t) at t + dt, which
+    removes the O(dt) drift of the potential between stages (earlier
+    solutions reused for successive right-hand sides, as in Fischer,
+    Comput. Methods Appl. Mech. Engrg. 163, 1998).
     """
-    last: DNOSolution | None = None
+    last: tuple[float, StraightenedField] | None = None
+    before: tuple[float, StraightenedField] | None = None
+
+    def guess(t: float) -> StraightenedField | None:
+        if before is None or t == last[0]:
+            return None if last is None else last[1]
+        (t1, p1), (t0, p0) = last, before
+        c = (t - t1) / (t1 - t0)
+        return StraightenedField(p1.values + c * (p1.values - p0.values),
+                                 p1.unknown + c * (p1.unknown - p0.unknown), 0, np.nan)
 
     def rhs(state: SurfaceState):
-        nonlocal last
-        eta_t, psi_t, last = ww_rhs(state, cfg.dno, guess=last)
-        return eta_t, psi_t, last
+        nonlocal last, before
+        eta_t, psi_t, sol = ww_rhs(state, cfg.dno, guess=guess(state.t))
+        if last is not None and last[0] != state.t:
+            before = last
+        last = (state.t, sol.phi)
+        return eta_t, psi_t, sol
     return rhs
 
 

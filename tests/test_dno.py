@@ -631,7 +631,7 @@ def test_guess_from_nearby_surface_saves_iterations():
     previous = dno_solve(eta, psi, PARAMS)
     cold = dno_solve(near, psi, PARAMS)
     cold_its = iterations(cold)
-    warm = dno_solve(near, psi, PARAMS, guess=previous)
+    warm = dno_solve(near, psi, PARAMS, guess=previous.phi)
     assert iterations(warm) < cold_its
     assert np.max(np.abs(warm.phi.values - cold.phi.values)) < 1e-10
     assert np.max(np.abs(warm.gpsi.values - cold.gpsi.values)) < 1e-10
@@ -642,7 +642,7 @@ def test_guess_of_wrong_shape_raises():
     psi = field_from_function(GRID, np.sin)
     other = dno_solve(eta, psi, DNOParams(h=1.0, zpoints=24))
     with pytest.raises(ValueError, match="guess has shape"):
-        dno_solve(eta, psi, PARAMS, guess=other)
+        dno_solve(eta, psi, PARAMS, guess=other.phi)
     dom = straighten(eta, DNOParams(zpoints=24))
     solver = strip_solver(dom)
     with pytest.raises(ValueError, match="guess has shape"):
@@ -661,6 +661,74 @@ def test_strip_solve_and_dno_take_real_data_only():
                          (None, 1j * np.ones(GRID.shape))):
         with pytest.raises(ValueError, match="real data"):
             strip_solver(dom).solve(psi.values, source, flux, None)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("name", ["surface", "source", "bottom flux", "guess unknown",
+                                  "guess surface"])
+def test_strip_solve_rejects_nonfinite_data(name, value):
+    # an infinite source column or bottom flux would end GMRES at once with
+    # a NaN residual, which no "residual > gate" test rejects, and return
+    # the bare lift; a NaN one would fail inside the triangular solve
+    grid = make_grid([2 * np.pi], [64])
+    params = DNOParams(h=1.0, zpoints=24)
+    dom = straighten(field_from_function(grid, lambda x: 0.1 * np.cos(x)), params)
+    guess = solve_laplace(dom, field_from_function(grid, np.sin), params)
+    surface, source, flux = guess.values[0].copy(), np.zeros((24, 64)), np.zeros(64)
+    values, unknown = guess.values.copy(), guess.unknown.copy()
+    {"surface": surface[7:8], "source": source[:, 5], "bottom flux": flux,
+     "guess unknown": unknown[3, 7:8], "guess surface": values[0, 7:8]}[name][...] = value
+    warm = StraightenedField(values, unknown, 0, 0.0)
+    with pytest.raises(ValueError, match=f"finite data; the {name} is not"):
+        strip_solver(dom).solve(surface, source, flux, warm)
+    with pytest.raises(ValueError, match=f"finite data; the {name} is not"):
+        solve_laplace(dom, Field(grid, surface), params, source=source,
+                      bottom_flux=Field(grid, flux), guess=warm)
+
+
+def test_warm_start_lifts_the_surface_change_harmonically():
+    # lifting the change of psi by a z-constant leaves a boundary layer under
+    # the surface, and the warm solve then takes the 9 iterations of a cold
+    # one; the flat strip's harmonic extension of the change saves two
+    eta = field_from_function(GRID, lambda x: 0.05 * np.cos(x))
+    old = field_from_function(GRID, lambda x: np.sin(x) + 0.3 * np.cos(3 * x))
+    new = old + field_from_function(GRID, lambda x: 0.1 * np.sin(2 * x))
+    previous = dno_solve(eta, old, PARAMS)
+    cold = dno_solve(eta, new, PARAMS)
+    warm = solve_laplace(previous.dom, new, PARAMS, guess=previous.phi)
+    assert warm.iterations <= cold.phi.iterations - 2
+    assert np.max(np.abs(warm.values - cold.phi.values)) < 1e-10
+
+
+def test_unchanged_surface_starts_from_the_guess_unknown_bitwise():
+    eta = field_from_function(GRID, lambda x: 0.1 * np.cos(x))
+    psi = field_from_function(GRID, lambda x: np.sin(x) + 0.3 * np.cos(3 * x))
+    dom = straighten(eta, PARAMS)
+    cold = solve_laplace(dom, psi, PARAMS)
+    solver = strip_solver(dom)
+    calls = count_calls(solver, "_matvec")
+    solver.solve(psi.values, None, None, cold)
+    assert np.array_equal(calls[0], cold.unknown.ravel())
+
+
+def test_lift_table_is_the_flat_strip_extension():
+    grid = make_grid([2 * np.pi], [256])
+    zpoints = 24
+    z = chebyshev_lobatto(zpoints)[0][1:, None]
+    k = np.abs(grid.half_wavenumber_meshes[0])
+    eta = field_from_function(grid, lambda x: 0.1 * np.cos(x))
+    for h in (1.0, 10.0):
+        assert straighten(eta, DNOParams(h=h, zpoints=zpoints)).h == h
+        table = dno._lift_table(grid, h, zpoints)
+        assert dno._lift_table(grid, h, zpoints) is table
+        assert table.shape == (zpoints - 1,) + grid.half_shape
+        assert np.all(np.isfinite(table)) and not table.flags.writeable
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.broadcast_to(np.isfinite(np.cosh(k * h)), table.shape)
+            ref = 1.0 - np.cosh(k * h * (1.0 + z)) / np.cosh(k * h)
+        assert np.max(np.abs(table[finite] - ref[finite])) < 1e-13
+    # cosh overflows beyond |k| h = 710, up to 1280 here; the table's form does not
+    assert not np.all(finite)
 
 
 def per_product_surface_flux(dom, phi):

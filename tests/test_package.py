@@ -221,7 +221,8 @@ def test_import_builds_no_table():
     code = ("import wavestrip.stepping\n"
             "from wavestrip import dno, paradiff\n"
             "assert len(paradiff._PAIR_TABLES) == 0\n"
-            "assert len(dno._STRAIGHTENING_TABLES) == 0\n")
+            "assert len(dno._STRAIGHTENING_TABLES) == 0\n"
+            "assert len(dno._LIFT_TABLES) == 0\n")
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": path})

@@ -342,6 +342,41 @@ def test_default_rhs_warm_starts_from_previous_call():
     assert np.max(np.abs(warm_sol.gpsi.values - cold_sol.gpsi.values)) < 1e-10
 
 
+def test_default_rhs_extrapolates_the_guess_in_time(monkeypatch):
+    # two RK4 steps from t = 0 at dt = 1/16, so every stage time is exact;
+    # calls: t0, k2, k3, k4 of the first step, then t1, k2, k3, k4
+    calls = []
+
+    def recording(state, params, guess):
+        out = ww_rhs(state, params, guess)
+        calls.append((state.t, guess, out[2].phi))
+        return out
+
+    monkeypatch.setattr(stepping, "ww_rhs", recording)
+    cfg = StepConfig(dt=1 / 16, dno=DNO)
+    rhs = stepping._default_rhs(cfg)
+    state = moving_wave_state(0.1)
+    for _ in range(2):
+        state = step(state, cfg, rhs)
+    times = [t for t, _, _ in calls]
+    assert times == [0, 1 / 32, 1 / 32, 1 / 16, 1 / 16, 3 / 32, 3 / 32, 1 / 8]
+    guesses = [g for _, g, _ in calls]
+    phis = [p for _, _, p in calls]
+    assert guesses[0] is None
+    # a time solved before, or the second time of all, starts from the last solve
+    for i in (1, 2, 4, 6):
+        assert guesses[i] is phis[i - 1]
+
+    def check(guess, later, earlier):
+        for name in ("values", "unknown"):
+            ref = 2 * getattr(later, name) - getattr(earlier, name)
+            assert np.max(np.abs(getattr(guess, name) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    check(guesses[3], phis[2], phis[0])  # 2 Phi(t + dt/2) - Phi(t) at k4
+    check(guesses[7], phis[6], phis[4])
+    check(guesses[5], phis[4], phis[2])  # 2 Phi(t) - Phi(t - dt/2) at k2
+
+
 def test_records_carry_potential_solve_iterations():
     cfg = StepConfig(dt=0.05, dno=DNO)
     traj = integrate(moving_wave_state(0.1), 3 * cfg.dt, cfg)
