@@ -115,7 +115,7 @@ def ww_rhs(state: SurfaceState, params: DNOParams,
 
     The potential is solved at the state's depth h with the other knobs of
     ``params``; ``guess``, a potential such as an earlier solution's
-    ``phi``, warm-starts that solve (None starts from zero).
+    ``phi``, warm-starts that solve (None: from the harmonic lift of psi).
     """
     sol = dno_solve(state.eta, state.psi, replace(params, h=state.h), guess=guess)
     grid = state.eta.grid

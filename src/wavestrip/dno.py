@@ -29,10 +29,10 @@ the next cycle restarts from it, for at most ceil(maxiter / 80) cycles.  A
 strip solve takes real data only (G(eta) is a real operator, so a caller
 with complex psi solves its real and imaginary parts apart) and returns the
 solved field with its GMRES unknown, iteration count and true residual.
-Each solve builds its own solver, and one given a guess potential starts
-from it, with the change of surface data lifted by the harmonic extension
-of the flat strip of depth h, tabulated once per (grid, h, zpoints) on first
-use (see StripSolver.solve).
+Each solve builds its own solver and starts GMRES from a guess potential
+(zero without one) plus the flat strip's harmonic extension of the change
+of surface data; the domain carries that lift, tabulated once per
+(grid, h, zpoints) (see StripSolver.solve).
 Every x-derivative runs on the rfft half spectrum of the real samples,
 through ``grid``, the one package module imported here.  The
 preconditioner is the strip operator with alpha and g1 replaced by their
@@ -103,7 +103,7 @@ class EllipticSolveError(RuntimeError):
 
 def _check_solver_limits(tol: float, maxiter: int) -> None:
     """Reject a GMRES tol <= 0, below any reachable residual, a tol >= 1,
-    which the zero start already meets, and a maxiter that is not an integer
+    which the zero unknown already meets, and a maxiter that is not an integer
     >= 1, which runs no cycle; DNOParams and StripSolver both check here."""
     if not 0 < tol < 1:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
@@ -206,14 +206,14 @@ def _z_line(zpoints: int) -> _ZLine:
 @dataclass
 class StraightenedDomain:
     """The derivatives of rho(x, z) the solves read, each (nz, *grid.shape),
-    and the elliptic coefficients on the strip; ``h`` is the strip depth and
-    ``delta`` the smoothing used, after any halvings."""
+    the elliptic coefficients on the strip, the smoothing ``delta`` used
+    after any halvings, and the lift 1 - H that starts each solve."""
 
     grid: PeriodicGrid
-    h: float
     delta: float
     z: np.ndarray                      # Chebyshev nodes, z[0] = 0, z[-1] = -1
     Dz: np.ndarray                     # differentiation matrix in z
+    lift: np.ndarray                   # (nz - 1, *grid.half_shape)
     drho_z: np.ndarray
     drho_x: tuple[np.ndarray, ...]
     alpha: np.ndarray
@@ -259,8 +259,8 @@ def straighten(eta: Field, params: DNOParams) -> StraightenedDomain:
     Every derivative of rho that the coefficients need is linear in eta, so
     one cached table of half-spectrum multipliers (see _straightening_table)
     and one inverse transform give them all; the depth enters as the
-    constant h of d_z rho.  The first straightening of a (grid, h, zpoints)
-    also builds the table of the warm-start lift (see _lift_table).
+    constant h of d_z rho.  The domain carries the cached lift table of
+    (grid, h, zpoints) that starts its solves (see _lift_table).
 
     Raises StraighteningError when min d_z rho < h/2 anywhere; the caller is
     expected to halve delta and retry (see straighten_adaptive).
@@ -268,9 +268,7 @@ def straighten(eta: Field, params: DNOParams) -> StraightenedDomain:
     grid, h = eta.grid, params.h
     line = _z_line(params.zpoints)
     table = _straightening_table(grid, params.delta, params.zpoints)
-    # the warm-start lift table is built here too, before any solve, so that
-    # no kept table is allocated among a solve's temporaries
-    _lift_table(grid, h, params.zpoints)
+    lift = _lift_table(grid, h, params.zpoints)
     drho_z, d2rho_z, lap_rho, *grads = irfft_x(table * rfft_x(eta.values, grid), grid)
     drho_z = drho_z + h
 
@@ -287,8 +285,8 @@ def straighten(eta: Field, params: DNOParams) -> StraightenedDomain:
     gamma = (d2rho_z + alpha * lap_rho
              + sum(b * g for b, g in zip(beta, grad_drho_z))) / drho_z
     return StraightenedDomain(
-        grid=grid, h=h, delta=params.delta, z=line.z, Dz=line.Dz, drho_z=drho_z,
-        drho_x=drho_x, alpha=alpha, beta=beta, gamma=gamma,
+        grid=grid, delta=params.delta, z=line.z, Dz=line.Dz, lift=lift,
+        drho_z=drho_z, drho_x=drho_x, alpha=alpha, beta=beta, gamma=gamma,
     )
 
 
@@ -339,9 +337,9 @@ def _lift_table(grid: PeriodicGrid, h: float, zpoints: int) -> np.ndarray:
                 = e^{|k| h z} (1 + e^{-2 |k| h (1+z)}) / (1 + e^{-2 |k| h}),
 
     the second form free of overflow for z <= 0.  Shape
-    (zpoints - 1, *grid.half_shape); built on first use, which is the first
-    straightening at that h and zpoints, and shared, read-only, by every
-    solve on the grid.
+    (zpoints - 1, *grid.half_shape); built by the first straightening at
+    that h and zpoints, before its temporaries, and shared, read-only, by
+    every domain on the grid as StraightenedDomain.lift.
     """
     tables = _LIFT_TABLES.setdefault(grid, {})
     key = (h, zpoints)
@@ -413,7 +411,7 @@ class StripSolver:
     ``_precond`` and one ``_matvec``, together one forward and two inverse x
     transforms: ``_precond`` returns z = M v with its half spectrum, which
     ``_matvec`` takes instead of transforming z again.  A solve adds one
-    ``_matvec`` of real input for the residual of a ``guess`` and one per
+    ``_matvec`` of real input for the residual of its start and one per
     cycle for the true residual of the new iterate.  The solve returns once
     that residual is at most ``tol`` (relative to |b|) and otherwise restarts
     from it, with cycles of at most 80 iterations and at most
@@ -486,25 +484,21 @@ class StripSolver:
         return irfft_x(half, grid).ravel(), half
 
     def _gmres(self, b: np.ndarray, bnorm: float,
-               x: np.ndarray | None) -> tuple[np.ndarray, float, list[float]]:
-        """Right-preconditioned restarted GMRES for A x = b from x (or 0).
+               x: np.ndarray) -> tuple[np.ndarray, float, list[float]]:
+        """Right-preconditioned restarted GMRES for A x = b from x.
 
         Returns x, its true relative residual |b - A x| / |b|, and the
         per-iteration estimate of that residual.  The preconditioned
         directions Z = M V are kept, so x = x0 + Z y needs no further apply.
         """
-        n = b.size
         restart = min(80, self.maxiter)
         cycles = math.ceil(self.maxiter / restart)
         target = self.tol * bnorm
-        r = b if x is None else b - self._matvec(x)
-        if x is None:
-            x = np.zeros(n)
+        r = b - self._matvec(x)
         history: list[float] = []
         hess = np.zeros((restart, restart))
         cs, sn, g = np.zeros(restart), np.zeros(restart), np.zeros(restart + 1)
-        # the basis block grows by doubling: most solves need a few rows
-        V = np.empty((min(16, restart + 1), n))
+        V = np.empty((restart + 1, b.size))
         Z = np.empty_like(V)
         for _ in range(cycles):
             beta = float(np.linalg.norm(r))
@@ -534,10 +528,6 @@ class StripSolver:
                 history.append(abs(float(g[j + 1])) / bnorm)
                 if abs(g[j + 1]) <= target:
                     break
-                if j + 1 == len(V):
-                    rows = min(2 * len(V), restart + 1)
-                    V, Z = (np.concatenate((B, np.empty((rows - len(B), n))))
-                            for B in (V, Z))
                 V[j + 1] = w * (1.0 / w_norm)
             k = j + 1
             x = x + solve_triangular(hess[:k, :k], g[:k]) @ Z[:k]
@@ -553,41 +543,42 @@ class StripSolver:
         solve_laplace).  The result carries the GMRES unknown u = Phi[1:] - surface, the
         iteration count and the true relative residual |b - A u| / |b|.
         ``guess`` is a potential in that form, typically solved on a nearby
-        surface, on any domain of the same grid and zpoints.  GMRES starts
-        from it instead of from zero: the surface change
-        d = surface - guess.values[0] is lifted by the harmonic extension H
-        of the flat strip of depth dom.h (see _lift_table), not by a
-        z-constant, so the start on the nodes 1.. is
-        guess.unknown - (d - H d).  An unchanged surface (d = 0) leaves
-        guess.unknown as it is, free of the rounding of Phi = u + psi, so an
-        exact guess takes no iteration.  A guess
-        without an unknown of shape (nz - 1, *grid.shape), or complex or
-        non-finite data, raises ValueError.
+        surface, on any domain of the same grid and zpoints; no guess is the
+        zero field.  GMRES starts from the guess with the surface change
+        d = surface - guess.values[0] lifted by the flat strip's harmonic
+        extension H (dom.lift = 1 - H), that is from guess.unknown - (d - H d),
+        so a cold solve starts from Phi = H surface.  An unchanged surface
+        leaves guess.unknown as it is, free of the rounding of Phi = u + psi,
+        so an exact guess takes no iteration.  Complex or non-finite data, or
+        data not of shape grid.shape ((nz, *grid.shape) for the source and
+        (nz - 1, *grid.shape) for the guess unknown), raises ValueError.
         """
         dom = self.dom
         grid = dom.grid
         nz, shape = dom.nz, grid.shape
-        inputs = {"surface": surface, "source": source, "bottom flux": bottom_flux}
-        if any(np.iscomplexobj(a) for a in inputs.values()):
-            raise ValueError("the strip solve takes real data; "
-                             "solve the real and imaginary parts apart")
-        if guess is not None:
-            inputs.update({"guess unknown": guess.unknown, "guess surface": guess.values[0]})
-        for name, data in inputs.items():
-            if data is not None and not np.all(np.isfinite(data)):
+        surface = np.asarray(surface)
+        if guess is None:
+            guess = StraightenedField(np.zeros((nz,) + shape), np.zeros((nz - 1,) + shape),
+                                      0, 0.0)
+        elif np.shape(guess.unknown) != (nz - 1,) + shape:
+            raise ValueError(f"guess has shape {np.shape(guess.unknown)} of GMRES "
+                             f"unknown, expected {(nz - 1,) + shape}")
+        inputs = {"surface": (surface, shape), "source": (source, (nz,) + shape),
+                  "bottom flux": (bottom_flux, shape),
+                  "guess unknown": (guess.unknown, (nz - 1,) + shape),
+                  "guess surface": (guess.values[0], shape)}
+        for name, (data, want) in inputs.items():
+            if data is None:
+                continue
+            if np.iscomplexobj(data):
+                raise ValueError("the strip solve takes real data; "
+                                 "solve the real and imaginary parts apart")
+            if np.shape(data) != want:
+                raise ValueError(f"the {name} has shape {np.shape(data)}, expected {want}")
+            if not np.all(np.isfinite(data)):
                 raise ValueError(f"the strip solve takes finite data; the {name} is not")
-        x0 = None
-        if guess is not None:
-            if np.shape(guess.unknown) != (nz - 1,) + shape:
-                raise ValueError(f"guess has shape {np.shape(guess.unknown)} of GMRES "
-                                 f"unknown, expected {(nz - 1,) + shape}")
-            # x0 = unknown - (d - H d) for the surface change d
-            change = rfft_x(surface - guess.values[0], grid)
-            lifted = irfft_x(_lift_table(grid, dom.h, nz) * change, grid)
-            x0 = (guess.unknown - lifted).ravel()
         lap_surf, *grad_surf = apply_half_symbols(
-            np.asarray(surface), grid,
-            (grid.half_laplacian_symbol,) + grid.half_gradient_symbols)
+            surface, grid, (grid.half_laplacian_symbol,) + grid.half_gradient_symbols)
         b = np.zeros((nz - 1,) + shape)
         b[:-1] = -dom.alpha[1:-1] * lap_surf
         if source is not None:
@@ -605,6 +596,9 @@ class StripSolver:
             self.last_iterations = 0
             return StraightenedField(phi, np.zeros((nz - 1,) + shape), 0, 0.0)
 
+        # x0 = u_g - (1 - H)(psi - psi_g)
+        change = rfft_x(surface - guess.values[0], grid)
+        x0 = (guess.unknown - irfft_x(dom.lift * change, grid)).ravel()
         sol, residual, history = self._gmres(bvec, bnorm, x0)
         self.last_iterations = len(history)
         if not residual <= max(50.0 * self.tol, 1e-13):
@@ -624,10 +618,10 @@ def solve_laplace(dom: StraightenedDomain, psi: Field, params: DNOParams,
     ``source`` is the interior right-hand side F, an array of shape
     (nz, *grid.shape) whose interior rows are read.  ``bottom_flux``
     prescribes the conormal data (g1 d_z - g2 . grad_x) at z = -1 (physical
-    no-flux through the bottom when zero).  ``guess`` is a potential whose
-    unknown, with the change of surface data lifted harmonically, starts
-    GMRES (see StripSolver.solve).  Each call builds its own StripSolver and
-    returns the field it solved.
+    no-flux through the bottom when zero).  ``guess``, a potential or None
+    for the zero field, starts GMRES with the change of surface data lifted
+    harmonically (see StripSolver.solve).  Each call builds its own
+    StripSolver and returns the field it solved.
     """
     return StripSolver(dom, tol=params.tol, maxiter=params.maxiter).solve(
         psi.values, source,
